@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/log.hpp"
 #include "fault/fault.hpp"
@@ -107,6 +108,28 @@ struct Reader {
   }
 };
 
+/// Stats-row encoding by field type: bool as u8, floating point as f64,
+/// integers as u64.
+template <typename T>
+void put(Writer& w, T v) {
+  if constexpr (std::is_same_v<T, bool>)
+    w.u8(v ? 1 : 0);
+  else if constexpr (std::is_floating_point_v<T>)
+    w.f64(v);
+  else
+    w.u64(v);
+}
+
+template <typename T>
+void get(Reader& r, T& v) {
+  if constexpr (std::is_same_v<T, bool>)
+    v = r.u8() != 0;
+  else if constexpr (std::is_floating_point_v<T>)
+    v = r.f64();
+  else
+    v = static_cast<T>(r.u64());
+}
+
 bool read_file(const std::string& path, std::vector<std::uint8_t>* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
@@ -139,33 +162,14 @@ std::vector<std::uint8_t> serialize(const Snapshot& s) {
   w.f64(s.elapsed_seconds);
   w.str(s.boundary);
 
-  const engine::EngineStats& es = s.engine_stats;
-  w.f64(es.po_seconds);
-  w.f64(es.global_seconds);
-  w.f64(es.local_seconds);
-  w.f64(es.other_seconds);
-  w.f64(es.total_seconds);
-  w.u64(es.initial_ands);
-  w.u64(es.final_ands);
-  w.u64(es.pos_total);
-  w.u64(es.pos_proved);
-  w.u64(es.pairs_proved_global);
-  w.u64(es.pairs_proved_local);
-  w.u64(es.pairs_disproved);
-  w.u64(es.cex_count);
-  w.u64(es.local_phases);
-
-  const engine::DegradeState& d = s.degrade;
-  w.u64(d.memory_words);
-  w.u8(d.window_merging ? 1 : 0);
-  w.u64(d.ladder_steps);
-  w.u64(d.memory_halvings);
-  w.u64(d.merge_fallbacks);
-  w.u64(d.batch_splits);
-  w.u64(d.deadline_expiries);
-  w.u64(d.units_abandoned);
-  w.u64(d.pass_retries);
-  w.u64(d.faults_recovered);
+  // Stats rows in declaration order (engine.hpp): the row lists define
+  // this block of the format.
+#define SIMSWEEP_PUT(type, field, ...) put(w, s.engine_stats.field);
+  SIMSWEEP_ENGINE_STATS(SIMSWEEP_PUT)
+#undef SIMSWEEP_PUT
+#define SIMSWEEP_PUT(type, field, ...) put(w, s.degrade.field);
+  SIMSWEEP_DEGRADE_STATE(SIMSWEEP_PUT)
+#undef SIMSWEEP_PUT
 
   // Miter: PIs, then ANDs in variable order (fanin literals only — the
   // variable ids are implicit), then PO literals.
@@ -227,33 +231,12 @@ std::optional<Snapshot> parse(const std::uint8_t* data, std::size_t size) {
   if (!(s.elapsed_seconds >= 0)) return std::nullopt;  // also rejects NaN
   s.boundary = r.str(kMaxBoundaryLen);
 
-  engine::EngineStats& es = s.engine_stats;
-  es.po_seconds = r.f64();
-  es.global_seconds = r.f64();
-  es.local_seconds = r.f64();
-  es.other_seconds = r.f64();
-  es.total_seconds = r.f64();
-  es.initial_ands = r.u64();
-  es.final_ands = r.u64();
-  es.pos_total = r.u64();
-  es.pos_proved = r.u64();
-  es.pairs_proved_global = r.u64();
-  es.pairs_proved_local = r.u64();
-  es.pairs_disproved = r.u64();
-  es.cex_count = r.u64();
-  es.local_phases = r.u64();
-
-  engine::DegradeState& d = s.degrade;
-  d.memory_words = r.u64();
-  d.window_merging = r.u8() != 0;
-  d.ladder_steps = r.u64();
-  d.memory_halvings = r.u64();
-  d.merge_fallbacks = r.u64();
-  d.batch_splits = r.u64();
-  d.deadline_expiries = r.u64();
-  d.units_abandoned = r.u64();
-  d.pass_retries = r.u64();
-  d.faults_recovered = r.u64();
+#define SIMSWEEP_GET(type, field, ...) get(r, s.engine_stats.field);
+  SIMSWEEP_ENGINE_STATS(SIMSWEEP_GET)
+#undef SIMSWEEP_GET
+#define SIMSWEEP_GET(type, field, ...) get(r, s.degrade.field);
+  SIMSWEEP_DEGRADE_STATE(SIMSWEEP_GET)
+#undef SIMSWEEP_GET
 
   const std::uint32_t num_pis = r.u32();
   const std::uint64_t num_ands = r.u64();

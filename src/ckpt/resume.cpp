@@ -163,16 +163,9 @@ CheckpointedResult checked_combined_check_miter(
     r.engine_seconds = snap->engine_stats.total_seconds;
     r.reduction_percent = snap->engine_stats.reduction_percent();
     engine::publish_engine_stats(registry, r.engine_stats);
-    // v3 reports require the faults/degrade sections the skipped engine
-    // would have published; restore them from the snapshot's ladder state.
-    const engine::DegradeState& d = snap->degrade;
-    registry.add(obs::metric::kDegradeLadderSteps, d.ladder_steps);
-    registry.add(obs::metric::kDegradeMemoryHalvings, d.memory_halvings);
-    registry.add(obs::metric::kDegradeMergeFallbacks, d.merge_fallbacks);
-    registry.add(obs::metric::kDegradeBatchSplits, d.batch_splits);
-    registry.add(obs::metric::kDegradeDeadlineExpiries, d.deadline_expiries);
-    registry.add(obs::metric::kDegradeUnitsAbandoned, d.units_abandoned);
-    registry.add(obs::metric::kDegradePassRetries, d.pass_retries);
+    // The skipped engine chain's faults/degrade sections, restored from
+    // the snapshot's ladder state exactly as the engine publishes them.
+    engine::publish_degrade_stats(registry, snap->degrade);
     r.used_sat = true;
 
     sweep::SweeperParams sp = combined.sweeper;

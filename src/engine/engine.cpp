@@ -14,46 +14,43 @@
 
 namespace simsweep::engine {
 
+namespace {
+
+/// Folds one field of the previous attempt into `next`; kLatest keeps
+/// `next`'s own value.
+template <typename T>
+void fold(T& next, const T& prev, StatFold policy) {
+  if (policy == StatFold::kSum) next += prev;
+  if (policy == StatFold::kFirst) next = prev;
+}
+
+}  // namespace
+
 /// Engine-level gauges, published with set semantics: when a chain of
 /// attempts shares one registry the caller republishes its merged stats
 /// last, so the final snapshot shows chain totals.
 void publish_engine_stats(obs::Registry& r, const EngineStats& s) {
-  r.set(obs::metric::kEnginePoSeconds, s.po_seconds);
-  r.set(obs::metric::kEngineGlobalSeconds, s.global_seconds);
-  r.set(obs::metric::kEngineLocalSeconds, s.local_seconds);
-  r.set(obs::metric::kEngineOtherSeconds, s.other_seconds);
-  r.set(obs::metric::kEngineTotalSeconds, s.total_seconds);
-  r.set(obs::metric::kEngineInitialAnds, static_cast<double>(s.initial_ands));
-  r.set(obs::metric::kEngineFinalAnds, static_cast<double>(s.final_ands));
-  r.set(obs::metric::kEnginePosTotal, static_cast<double>(s.pos_total));
-  r.set(obs::metric::kEnginePosProved, static_cast<double>(s.pos_proved));
-  r.set(obs::metric::kEnginePairsProvedGlobal,
-        static_cast<double>(s.pairs_proved_global));
-  r.set(obs::metric::kEnginePairsProvedLocal,
-        static_cast<double>(s.pairs_proved_local));
-  r.set(obs::metric::kEnginePairsDisproved, static_cast<double>(s.pairs_disproved));
-  r.set(obs::metric::kEngineCexCount, static_cast<double>(s.cex_count));
-  r.set(obs::metric::kEngineLocalPhases, static_cast<double>(s.local_phases));
+#define SIMSWEEP_PUBLISH(type, field, init, metric, policy) \
+  r.set(metric, static_cast<double>(s.field));
+  SIMSWEEP_ENGINE_STATS(SIMSWEEP_PUBLISH)
+#undef SIMSWEEP_PUBLISH
   r.set(obs::metric::kEngineReductionPercent, s.reduction_percent());
 }
 
+void publish_degrade_stats(obs::Registry& r, const DegradeState& d) {
+  const auto publish = [&r](const char* metric, std::uint64_t value) {
+    if (metric != nullptr) r.add(metric, value);
+  };
+#define SIMSWEEP_PUBLISH(type, field, init, metric) publish(metric, d.field);
+  SIMSWEEP_DEGRADE_STATE(SIMSWEEP_PUBLISH)
+#undef SIMSWEEP_PUBLISH
+}
+
 void accumulate_attempt_stats(EngineStats& next, const EngineStats& prev) {
-  next.po_seconds += prev.po_seconds;
-  next.global_seconds += prev.global_seconds;
-  next.local_seconds += prev.local_seconds;
-  next.other_seconds += prev.other_seconds;
-  next.total_seconds += prev.total_seconds;
-  // The chain starts from the first attempt's miter: its initial size and
-  // PO count are the ones reduction_percent() must be measured against.
-  next.initial_ands = prev.initial_ands;
-  next.pos_total = prev.pos_total;
-  // final_ands stays next's own (the latest reduction state).
-  next.pos_proved += prev.pos_proved;
-  next.pairs_proved_global += prev.pairs_proved_global;
-  next.pairs_proved_local += prev.pairs_proved_local;
-  next.pairs_disproved += prev.pairs_disproved;
-  next.cex_count += prev.cex_count;
-  next.local_phases += prev.local_phases;
+#define SIMSWEEP_FOLD(type, field, init, metric, policy) \
+  fold(next.field, prev.field, StatFold::policy);
+  SIMSWEEP_ENGINE_STATS(SIMSWEEP_FOLD)
+#undef SIMSWEEP_FOLD
 }
 
 EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
@@ -142,11 +139,10 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
     publish_engine_stats(registry, ctx.stats);
     parallel::ThreadPool::global().publish(registry);
     // Fault & degradation sections (DESIGN.md §2.4). Published even when
-    // all-zero so every v2 report carries both sections; counter add
+    // all-zero so every report carries both sections; counter add
     // semantics accumulate across shared-registry attempt chains.
     registry.add(obs::metric::kFaultsInjected,
                  fault::fires_total() - fault_fires_before);
-    registry.add(obs::metric::kFaultsRecovered, ctx.degrade.faults_recovered);
     for (const auto& [site, fires] : fault::active_fire_counts()) {
       std::uint64_t before = 0;
       for (const auto& [s0, f0] : site_fires_before)
@@ -154,13 +150,7 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
       if (fires > before)
         registry.add(obs::metric::kFaultsSitePrefix + site, fires - before);
     }
-    registry.add(obs::metric::kDegradeLadderSteps, ctx.degrade.ladder_steps);
-    registry.add(obs::metric::kDegradeMemoryHalvings, ctx.degrade.memory_halvings);
-    registry.add(obs::metric::kDegradeMergeFallbacks, ctx.degrade.merge_fallbacks);
-    registry.add(obs::metric::kDegradeBatchSplits, ctx.degrade.batch_splits);
-    registry.add(obs::metric::kDegradeDeadlineExpiries, ctx.degrade.deadline_expiries);
-    registry.add(obs::metric::kDegradeUnitsAbandoned, ctx.degrade.units_abandoned);
-    registry.add(obs::metric::kDegradePassRetries, ctx.degrade.pass_retries);
+    publish_degrade_stats(registry, ctx.degrade);
     // Incremental carry-over section (DESIGN.md §2.7). Published even when
     // all-zero so every report carries the partial_sim.carryover family.
     const sim::CarryStats& cs = ctx.inc.stats();

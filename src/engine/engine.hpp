@@ -43,6 +43,66 @@ using simsweep::Verdict;
 
 struct EngineStats;
 
+/// Chain-accumulation policy of an EngineStats row (see
+/// accumulate_attempt_stats): sum over the attempts, keep the first
+/// attempt's value, or keep the latest attempt's value.
+enum class StatFold { kSum, kFirst, kLatest };
+
+/// EngineStats rows: X(type, field, default, catalog constant, StatFold).
+/// Each row is the only declaration of its statistic: it generates the
+/// struct field, its `engine.*` gauge in publish_engine_stats(), its
+/// chain accumulation and its checkpoint encoding (ckpt::serialize/parse
+/// encode the rows in this order, so append new rows only at the end and
+/// bump ckpt::kFormatVersion).
+#define SIMSWEEP_ENGINE_STATS(X)                                            \
+  X(double, po_seconds, 0, obs::metric::kEnginePoSeconds, kSum)             \
+  X(double, global_seconds, 0, obs::metric::kEngineGlobalSeconds, kSum)     \
+  X(double, local_seconds, 0, obs::metric::kEngineLocalSeconds, kSum)       \
+  /* simulation init, EC building, rebuilds */                              \
+  X(double, other_seconds, 0, obs::metric::kEngineOtherSeconds, kSum)       \
+  X(double, total_seconds, 0, obs::metric::kEngineTotalSeconds, kSum)       \
+  /* the chain is measured against the first attempt's miter */             \
+  X(std::size_t, initial_ands, 0, obs::metric::kEngineInitialAnds, kFirst)  \
+  X(std::size_t, final_ands, 0, obs::metric::kEngineFinalAnds, kLatest)     \
+  X(std::size_t, pos_total, 0, obs::metric::kEnginePosTotal, kFirst)        \
+  X(std::size_t, pos_proved, 0, obs::metric::kEnginePosProved, kSum)        \
+  X(std::size_t, pairs_proved_global, 0,                                    \
+    obs::metric::kEnginePairsProvedGlobal, kSum)                            \
+  X(std::size_t, pairs_proved_local, 0,                                     \
+    obs::metric::kEnginePairsProvedLocal, kSum)                             \
+  X(std::size_t, pairs_disproved, 0, obs::metric::kEnginePairsDisproved,    \
+    kSum)                                                                   \
+  X(std::size_t, cex_count, 0, obs::metric::kEngineCexCount, kSum)          \
+  X(std::size_t, local_phases, 0, obs::metric::kEngineLocalPhases, kSum)
+
+/// DegradeState rows: X(type, field, default, catalog constant or
+/// nullptr). Rows with a constant are published as counters (add
+/// semantics, so attempts sharing a registry sum) by
+/// publish_degrade_stats(); every row is checkpointed in this order.
+#define SIMSWEEP_DEGRADE_STATE(X)                                           \
+  /* working M (seeded from params) */                                      \
+  X(std::size_t, memory_words, 0, nullptr)                                  \
+  /* dropped on repeated merge faults */                                    \
+  X(bool, window_merging, true, nullptr)                                    \
+  X(std::uint64_t, ladder_steps, 0, obs::metric::kDegradeLadderSteps)       \
+  /* M halved (OOM / budget denial) */                                      \
+  X(std::uint64_t, memory_halvings, 0, obs::metric::kDegradeMemoryHalvings) \
+  /* merged builds that fell back */                                        \
+  X(std::uint64_t, merge_fallbacks, 0, obs::metric::kDegradeMergeFallbacks) \
+  /* batches split per-window */                                            \
+  X(std::uint64_t, batch_splits, 0, obs::metric::kDegradeBatchSplits)       \
+  /* phase deadlines that expired */                                        \
+  X(std::uint64_t, deadline_expiries, 0,                                    \
+    obs::metric::kDegradeDeadlineExpiries)                                  \
+  /* windows/passes left undecided */                                       \
+  X(std::uint64_t, units_abandoned, 0, obs::metric::kDegradeUnitsAbandoned) \
+  /* cut passes retried after a fault */                                    \
+  X(std::uint64_t, pass_retries, 0, obs::metric::kDegradePassRetries)       \
+  /* failures answered by a retry */                                        \
+  X(std::uint64_t, faults_recovered, 0, obs::metric::kFaultsRecovered)
+
+#define SIMSWEEP_STAT_FIELD(type, field, init, ...) type field = init;
+
 /// Degradation-ladder state (DESIGN.md §2.4), mutated by the host thread
 /// only. Backoff persists across phases: once a fault forced M down or
 /// merging off, later phases start from the degraded values — the
@@ -50,16 +110,7 @@ struct EngineStats;
 /// is also part of every checkpoint snapshot (DESIGN.md §2.8), so a
 /// resumed run re-enters the ladder where the crashed run left it.
 struct DegradeState {
-  std::size_t memory_words = 0;  ///< working M (seeded from params)
-  bool window_merging = true;    ///< dropped on repeated merge faults
-  std::uint64_t ladder_steps = 0;      ///< parameter-backoff steps taken
-  std::uint64_t memory_halvings = 0;   ///< M halved (OOM / budget denial)
-  std::uint64_t merge_fallbacks = 0;   ///< merged builds that fell back
-  std::uint64_t batch_splits = 0;      ///< batches split per-window
-  std::uint64_t deadline_expiries = 0; ///< phase deadlines that expired
-  std::uint64_t units_abandoned = 0;   ///< windows/passes left undecided
-  std::uint64_t pass_retries = 0;      ///< cut passes retried after fault
-  std::uint64_t faults_recovered = 0;  ///< failures answered by a retry
+  SIMSWEEP_DEGRADE_STATE(SIMSWEEP_STAT_FIELD)
 };
 
 /// Read-only view handed to EngineParams::checkpoint_hook at every phase
@@ -185,21 +236,7 @@ struct EngineParams {
 };
 
 struct EngineStats {
-  double po_seconds = 0;
-  double global_seconds = 0;
-  double local_seconds = 0;
-  double other_seconds = 0;  ///< simulation init, EC building, rebuilds
-  double total_seconds = 0;
-
-  std::size_t initial_ands = 0;
-  std::size_t final_ands = 0;
-  std::size_t pos_total = 0;
-  std::size_t pos_proved = 0;
-  std::size_t pairs_proved_global = 0;
-  std::size_t pairs_proved_local = 0;
-  std::size_t pairs_disproved = 0;
-  std::size_t cex_count = 0;
-  std::size_t local_phases = 0;
+  SIMSWEEP_ENGINE_STATS(SIMSWEEP_STAT_FIELD)
 
   /// Miter size reduction achieved by the engine ("Reduced (%)" column of
   /// paper Table II). 100% means fully proved.
@@ -208,6 +245,8 @@ struct EngineStats {
     return 100.0 * (1.0 - static_cast<double>(final_ands) / initial_ands);
   }
 };
+
+#undef SIMSWEEP_STAT_FIELD
 
 struct EngineResult {
   Verdict verdict = Verdict::kUndecided;
@@ -278,10 +317,7 @@ struct EngineContext {
   /// caller provided none).
   obs::Registry* obs = nullptr;
   /// Degradation-ladder state (DESIGN.md §2.4); the type lives at
-  /// namespace scope so checkpoint snapshots can carry it (§2.8). The
-  /// member alias keeps the phases' historical EngineContext::DegradeState
-  /// spelling valid.
-  using DegradeState = ::simsweep::engine::DegradeState;
+  /// namespace scope so checkpoint snapshots can carry it (§2.8).
   DegradeState degrade;
   /// Memory governor for this run: the caller's EngineParams::memory_ledger,
   /// an engine-private one (memory_budget_bytes > 0), or null (ungoverned).
@@ -310,16 +346,23 @@ bool run_local_phase(EngineContext& ctx);
 
 /// Folds the stats of a finished engine attempt (`prev`) into the stats of
 /// the attempt that continued from its reduced miter (`next`), so a chain
-/// of attempts reports work and time totals across the whole chain:
-/// counters and per-phase seconds accumulate, `initial_ands`/`pos_total`
-/// keep the FIRST attempt's view of the original miter, and `final_ands`
-/// stays `next`'s (the latest reduction). Used by the portfolio's
-/// rewriting-interleaved engine loop.
+/// of attempts reports work and time totals across the whole chain. Each
+/// field follows its row's StatFold: counters and per-phase seconds
+/// accumulate, `initial_ands`/`pos_total` keep the FIRST attempt's view of
+/// the original miter, and `final_ands` stays `next`'s (the latest
+/// reduction). Used by the portfolio's rewriting-interleaved engine loop
+/// and the ckpt resume wrapper.
 void accumulate_attempt_stats(EngineStats& next, const EngineStats& prev);
 
 /// Publishes EngineStats as `engine.*` gauges (set semantics — the last
 /// publisher into a shared registry wins, so callers that merge stats
 /// across attempts republish the merged totals last).
 void publish_engine_stats(obs::Registry& registry, const EngineStats& stats);
+
+/// Publishes the DegradeState rows that name a catalog constant as
+/// counters (`degrade.*`, `faults.recovered`; add semantics). The engine
+/// calls it when a run finishes; the ckpt resume wrapper calls it for the
+/// engine chain a sweep-stage resume skips.
+void publish_degrade_stats(obs::Registry& registry, const DegradeState& d);
 
 }  // namespace simsweep::engine

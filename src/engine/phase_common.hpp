@@ -96,7 +96,7 @@ inline LadderOutcome run_batch_with_ladder(EngineContext& ctx,
                                            exhaustive::Params sim,
                                            int depth = 0) {
   LadderOutcome out;
-  EngineContext::DegradeState& deg = ctx.degrade;
+  DegradeState& deg = ctx.degrade;
   for (unsigned attempt = 0;; ++attempt) {
     sim.memory_words = deg.memory_words;
     sim.ledger = ctx.ledger;

@@ -1,10 +1,9 @@
 #include "obs/report.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <map>
-#include <vector>
+
+#include "obs/json.hpp"
 
 namespace simsweep::obs {
 
@@ -30,13 +29,6 @@ void insert_metric(Node& root, const Metric& m) {
   node->leaf = &m;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
 void emit_node(const Node& node, int indent, std::string& out) {
   // A name that is both a leaf and a prefix would lose its leaf here; the
   // naming scheme forbids that (DESIGN.md §2.3) and instrumentation
@@ -56,7 +48,7 @@ void emit_node(const Node& node, int indent, std::string& out) {
   for (const auto& [seg, child] : node.children) {
     out.append(static_cast<std::size_t>(indent) + 2, ' ');
     out.push_back('"');
-    append_escaped(out, seg);
+    json::append_escaped(out, seg);
     out += "\": ";
     emit_node(child, indent + 2, out);
     if (++i < node.children.size()) out.push_back(',');
@@ -66,171 +58,17 @@ void emit_node(const Node& node, int indent, std::string& out) {
   out.push_back('}');
 }
 
-// --- Minimal JSON parser for validation (objects, strings, numbers,
-// bools/null, arrays). Produces dotted-path leaf maps; no external
-// dependency. ---
-
-struct Parser {
-  const std::string& s;
-  std::size_t i = 0;
-  std::string err;
-  /// Numeric leaves by dotted path ("metrics.exhaustive.rounds").
-  std::map<std::string, double> numbers;
-  /// String leaves by dotted path ("schema").
-  std::map<std::string, std::string> strings;
-  /// Every object path seen (so sections can be checked for presence).
-  std::map<std::string, bool> objects;
-
-  explicit Parser(const std::string& text) : s(text) {}
-
-  bool fail(const std::string& what) {
-    if (err.empty()) {
-      char where[32];
-      std::snprintf(where, sizeof where, " at offset %zu", i);
-      err = what + where;
-    }
-    return false;
+/// True iff some numeric (or true boolean) leaf under `v` is nonzero.
+bool has_nonzero_leaf(const json::Value& v) {
+  switch (v.type) {
+    case json::Value::Type::kNumber: return v.number != 0.0;
+    case json::Value::Type::kBool: return v.boolean;
+    default:
+      for (const json::Value& item : v.items)
+        if (has_nonzero_leaf(item)) return true;
+      return false;
   }
-
-  void skip_ws() {
-    while (i < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[i])) != 0)
-      ++i;
-  }
-
-  bool parse_string(std::string* out) {
-    if (i >= s.size() || s[i] != '"') return fail("expected string");
-    ++i;
-    std::string v;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') {
-        ++i;
-        if (i >= s.size()) return fail("dangling escape");
-        switch (s[i]) {
-          case '"': v.push_back('"'); break;
-          case '\\': v.push_back('\\'); break;
-          case '/': v.push_back('/'); break;
-          case 'n': v.push_back('\n'); break;
-          case 't': v.push_back('\t'); break;
-          case 'r': v.push_back('\r'); break;
-          default: return fail("unsupported escape");
-        }
-        ++i;
-      } else {
-        v.push_back(s[i++]);
-      }
-    }
-    if (i >= s.size()) return fail("unterminated string");
-    ++i;  // closing quote
-    if (out != nullptr) *out = std::move(v);
-    return true;
-  }
-
-  bool parse_number(double* out) {
-    const std::size_t start = i;
-    if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
-    while (i < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[i])) != 0 ||
-            s[i] == '.' || s[i] == 'e' || s[i] == 'E' || s[i] == '-' ||
-            s[i] == '+'))
-      ++i;
-    if (i == start) return fail("expected number");
-    try {
-      *out = std::stod(s.substr(start, i - start));
-    } catch (...) {
-      return fail("malformed number");
-    }
-    return true;
-  }
-
-  bool parse_value(const std::string& path) {
-    skip_ws();
-    if (i >= s.size()) return fail("unexpected end of input");
-    const char c = s[i];
-    if (c == '{') return parse_object(path);
-    if (c == '[') return parse_array(path);
-    if (c == '"') {
-      std::string v;
-      if (!parse_string(&v)) return false;
-      strings[path] = std::move(v);
-      return true;
-    }
-    if (s.compare(i, 4, "true") == 0) {
-      i += 4;
-      numbers[path] = 1.0;
-      return true;
-    }
-    if (s.compare(i, 5, "false") == 0) {
-      i += 5;
-      numbers[path] = 0.0;
-      return true;
-    }
-    if (s.compare(i, 4, "null") == 0) {
-      i += 4;
-      return true;
-    }
-    double num = 0;
-    if (!parse_number(&num)) return false;
-    numbers[path] = num;
-    return true;
-  }
-
-  bool parse_object(const std::string& path) {
-    if (s[i] != '{') return fail("expected object");
-    ++i;
-    objects[path] = true;
-    skip_ws();
-    if (i < s.size() && s[i] == '}') {
-      ++i;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return false;
-      skip_ws();
-      if (i >= s.size() || s[i] != ':') return fail("expected ':'");
-      ++i;
-      if (!parse_value(path.empty() ? key : path + "." + key)) return false;
-      skip_ws();
-      if (i < s.size() && s[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < s.size() && s[i] == '}') {
-        ++i;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool parse_array(const std::string& path) {
-    if (s[i] != '[') return fail("expected array");
-    ++i;
-    skip_ws();
-    if (i < s.size() && s[i] == ']') {
-      ++i;
-      return true;
-    }
-    std::size_t index = 0;
-    while (true) {
-      char idx[24];
-      std::snprintf(idx, sizeof idx, "%zu", index++);
-      if (!parse_value(path + "." + idx)) return false;
-      skip_ws();
-      if (i < s.size() && s[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < s.size() && s[i] == ']') {
-        ++i;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-};
+}
 
 }  // namespace
 
@@ -256,72 +94,47 @@ bool write_json_file(const Snapshot& snapshot, const std::string& path) {
   return ok && closed;
 }
 
-bool validate_report_json(const std::string& json, std::string* error) {
+bool validate_report_json(const std::string& text, std::string* error) {
   const auto fail = [error](const std::string& why) {
     if (error != nullptr) *error = why;
     return false;
   };
 
-  Parser p(json);
-  p.skip_ws();
-  if (!p.parse_value("")) return fail("malformed JSON: " + p.err);
-  p.skip_ws();
-  if (p.i != json.size()) return fail("trailing content after JSON value");
+  std::string parse_error;
+  const std::optional<json::Value> doc = json::parse(text, &parse_error);
+  if (!doc) return fail("malformed JSON: " + parse_error);
 
-  const auto schema = p.strings.find("schema");
-  if (schema == p.strings.end())
+  const json::Value* schema = doc->get("schema");
+  if (schema == nullptr || schema->type != json::Value::Type::kString)
     return fail("missing top-level \"schema\" string");
-  const bool is_v3 = schema->second == kSchemaId;
-  const bool is_v2 = schema->second == kSchemaIdV2;
-  if (!is_v3 && !is_v2 && schema->second != kSchemaIdV1)
-    return fail("unexpected schema id \"" + schema->second + "\" (want \"" +
-                kSchemaId + "\", \"" + kSchemaIdV2 + "\" or \"" +
-                kSchemaIdV1 + "\")");
-  if (p.objects.find("metrics") == p.objects.end())
+  if (schema->string != kSchemaId)
+    return fail("unexpected schema id \"" + schema->string + "\" (want \"" +
+                kSchemaId + "\")");
+  const json::Value* metrics = doc->get("metrics");
+  if (metrics == nullptr || !metrics->is_object())
     return fail("missing top-level \"metrics\" object");
 
   // The five paper modules must be present with at least one nonzero
-  // numeric leaf; the pool section must be present.
-  static constexpr const char* kNonzeroSections[] = {
-      "exhaustive", "cut", "ec", "partial_sim", "miter"};
-  for (const char* section : kNonzeroSections) {
-    const std::string path = std::string("metrics.") + section;
-    if (p.objects.find(path) == p.objects.end())
-      return fail("missing module section \"" + path + "\"");
-    const std::string prefix = path + ".";
-    bool nonzero = false;
-    for (auto it = p.numbers.lower_bound(prefix);
-         it != p.numbers.end() && it->first.compare(0, prefix.size(),
-                                                    prefix) == 0;
-         ++it) {
-      if (it->second != 0.0) {
-        nonzero = true;
-        break;
-      }
-    }
-    if (!nonzero)
-      return fail("module section \"" + path +
+  // numeric leaf.
+  for (const char* section :
+       {"exhaustive", "cut", "ec", "partial_sim", "miter"}) {
+    const json::Value* v = metrics->get(section);
+    if (v == nullptr || !v->is_object())
+      return fail(std::string("missing module section \"metrics.") +
+                  section + "\"");
+    if (!has_nonzero_leaf(*v))
+      return fail(std::string("module section \"metrics.") + section +
                   "\" has no nonzero metric");
   }
-  if (p.objects.find("metrics.pool") == p.objects.end())
-    return fail("missing \"metrics.pool\" section");
-  if (is_v2 || is_v3) {
-    // Robustness telemetry (DESIGN.md §2.4): presence only — a run with
-    // no faults and no degradation legitimately reports all zeros.
-    for (const char* section : {"faults", "degrade"}) {
-      const std::string path = std::string("metrics.") + section;
-      if (p.objects.find(path) == p.objects.end())
-        return fail("missing v2 section \"" + path + "\"");
-    }
-  }
-  if (is_v3) {
-    // Checkpoint durability (DESIGN.md §2.8): same presence-only contract
-    // — an uncheckpointed, unsupervised run reports all zeros.
-    for (const char* section : {"ckpt", "supervisor"}) {
-      const std::string path = std::string("metrics.") + section;
-      if (p.objects.find(path) == p.objects.end())
-        return fail("missing v3 section \"" + path + "\"");
-    }
+  // Presence only: pool telemetry, robustness (DESIGN.md §2.4) and
+  // checkpoint durability (§2.8) — a healthy, unarmed run legitimately
+  // reports all zeros there.
+  for (const char* section :
+       {"pool", "faults", "degrade", "ckpt", "supervisor"}) {
+    const json::Value* v = metrics->get(section);
+    if (v == nullptr || !v->is_object())
+      return fail(std::string("missing section \"metrics.") + section +
+                  "\"");
   }
   return true;
 }

@@ -64,18 +64,14 @@ void publish_sweeper_stats(obs::Registry& r, bool used,
                            const sweep::SweeperStats& s, double seconds) {
   r.set(obs::metric::kSweeperUsed, used ? 1.0 : 0.0);
   if (!used) return;
-  r.set(obs::metric::kSweeperSatCalls, static_cast<double>(s.sat_calls));
-  r.set(obs::metric::kSweeperPairsProved, static_cast<double>(s.pairs_proved));
-  r.set(obs::metric::kSweeperPairsDisproved,
-        static_cast<double>(s.pairs_disproved));
-  r.set(obs::metric::kSweeperPairsUndecided,
-        static_cast<double>(s.pairs_undecided));
-  r.set(obs::metric::kSweeperConflicts, static_cast<double>(s.conflicts));
-  r.set(obs::metric::kSweeperSolveFaults, static_cast<double>(s.solve_faults));
+#define SIMSWEEP_PUBLISH(type, field, init, metric) \
+  r.set(metric, static_cast<double>(s.field));
+  SIMSWEEP_SWEEPER_COUNTERS(SIMSWEEP_PUBLISH)
+#undef SIMSWEEP_PUBLISH
   r.set(obs::metric::kSweeperSeconds, seconds);
   // Parallel-sweep shard telemetry (DESIGN.md §2.5). Published only when
   // the sweep ran sharded (or degraded from a sharded attempt), so purely
-  // sequential v2 reports keep their exact historical shape.
+  // sequential reports keep their exact historical shape.
   if (s.shards == 0 && s.parallel_fallbacks == 0) return;
   r.set(obs::metric::kSweeperShards, static_cast<double>(s.shards));
   r.set(obs::metric::kSweeperChunks, static_cast<double>(s.chunks));

@@ -1,188 +1,96 @@
 #include "service/json_jobs.hpp"
 
-#include <cctype>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+
+#include "obs/json.hpp"
 
 namespace simsweep::service {
 
 namespace {
 
-/// Minimal recursive-descent reader for ONE flat JSON object of
-/// string/number/bool values — the whole job-spec grammar. No nesting,
-/// no arrays, no null: a spec that needs more should become a schema
-/// change here, not an ad-hoc extension.
-class LineReader {
- public:
-  explicit LineReader(const std::string& line) : s_(line) {}
-
-  bool fail(std::string* error, const std::string& what) {
-    if (error != nullptr)
-      *error = what + " at offset " + std::to_string(pos_);
+/// Stores `num` into integer field `field`; false (field untouched) when
+/// it does not fit, since the conversion would be undefined.
+template <typename T>
+bool store(T& field, double num) {
+  if (!(num < static_cast<double>(std::numeric_limits<T>::max()) + 1.0))
     return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0)
-      ++pos_;
-  }
-
-  bool eat(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool peek(char c) {
-    skip_ws();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= s_.size();
-  }
-
-  bool read_string(std::string* out, std::string* error) {
-    if (!eat('"')) return fail(error, "expected '\"'");
-    out->clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) break;
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          default: return fail(error, "unsupported escape");
-        }
-        continue;
-      }
-      out->push_back(c);
-    }
-    return fail(error, "unterminated string");
-  }
-
-  bool read_number(double* out, std::string* error) {
-    skip_ws();
-    const char* begin = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return fail(error, "expected a number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    *out = v;
-    return true;
-  }
-
-  bool read_bool(bool* out, std::string* error) {
-    skip_ws();
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      *out = true;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      *out = false;
-      return true;
-    }
-    return fail(error, "expected true/false");
-  }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-/// JSON string escaping for the emitter side (ids may carry quotes).
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
+  field = static_cast<T>(num);
+  return true;
 }
 
 }  // namespace
 
 bool parse_job_line(const std::string& line, JobSpec* out,
                     std::string* error) {
-  LineReader r(line);
-  JobSpec spec = *out;  // the line overrides the caller's defaults
-  if (!r.eat('{')) return r.fail(error, "expected '{'");
-  bool first = true;
-  while (!r.peek('}')) {
-    if (!first && !r.eat(','))
-      return r.fail(error, "expected ',' between members");
-    first = false;
-    std::string key;
-    if (!r.read_string(&key, error)) return false;
-    if (!r.eat(':')) return r.fail(error, "expected ':' after key");
+  const auto fail = [error](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return false;
+  };
+  std::string parse_error;
+  const std::optional<obs::json::Value> doc =
+      obs::json::parse(line, &parse_error);
+  if (!doc) return fail(parse_error);
+  if (!doc->is_object()) return fail("a job line must be one JSON object");
 
-    engine::EngineParams& e = spec.params.engine;
-    sweep::SweeperParams& s = spec.params.sweeper;
-    double num = 0;
-    bool flag = false;
+  using Type = obs::json::Value::Type;
+  JobSpec spec = *out;  // the line overrides the caller's defaults
+  engine::EngineParams& e = spec.params.engine;
+  sweep::SweeperParams& s = spec.params.sweeper;
+  for (std::size_t m = 0; m < doc->keys.size(); ++m) {
+    const std::string& key = doc->keys[m];
+    const obs::json::Value& v = doc->items[m];
     if (key == "id" || key == "a" || key == "b") {
-      std::string value;
-      if (!r.read_string(&value, error)) return false;
-      if (key == "id") spec.id = value;
-      if (key == "a") spec.a_path = value;
-      if (key == "b") spec.b_path = value;
+      if (v.type != Type::kString)
+        return fail("expected a string for \"" + key + "\"");
+      if (key == "id") spec.id = v.string;
+      if (key == "a") spec.a_path = v.string;
+      if (key == "b") spec.b_path = v.string;
     } else if (key == "interleave_rewriting") {
-      if (!r.read_bool(&flag, error)) return false;
-      spec.params.interleave_rewriting = flag;
+      if (v.type != Type::kBool)
+        return fail("expected true/false for \"" + key + "\"");
+      spec.params.interleave_rewriting = v.boolean;
     } else if (key == "deadline" || key == "priority" ||
                key == "time_limit" || key == "sweep_threads" ||
                key == "seed" || key == "sim_words" || key == "k_P" ||
                key == "k_p" || key == "k_g" || key == "k_l" ||
                key == "conflict_limit" || key == "max_rounds" ||
                key == "max_rewrite_rounds") {
-      if (!r.read_number(&num, error)) return false;
-      if (num < 0) return r.fail(error, "negative value for " + key);
+      if (v.type != Type::kNumber)
+        return fail("expected a number for \"" + key + "\"");
+      const double num = v.number;
+      if (num < 0) return fail("negative value for " + key);
+      bool fits = true;
       if (key == "deadline") spec.deadline_seconds = num;
-      if (key == "priority") spec.priority = static_cast<int>(num);
+      if (key == "priority") fits = store(spec.priority, num);
       if (key == "time_limit") e.time_limit = num;
-      if (key == "sweep_threads")
-        s.num_threads = static_cast<unsigned>(num);
-      if (key == "seed") e.seed = static_cast<std::uint64_t>(num);
-      if (key == "sim_words") e.sim_words = static_cast<std::size_t>(num);
-      if (key == "k_P") e.k_P = static_cast<unsigned>(num);
-      if (key == "k_p") e.k_p = static_cast<unsigned>(num);
-      if (key == "k_g") e.k_g = static_cast<unsigned>(num);
-      if (key == "k_l") e.k_l = static_cast<unsigned>(num);
-      if (key == "conflict_limit")
-        s.conflict_limit = static_cast<std::int64_t>(num);
-      if (key == "max_rounds") s.max_rounds = static_cast<unsigned>(num);
+      if (key == "sweep_threads") fits = store(s.num_threads, num);
+      if (key == "seed") fits = store(e.seed, num);
+      if (key == "sim_words") fits = store(e.sim_words, num);
+      if (key == "k_P") fits = store(e.k_P, num);
+      if (key == "k_p") fits = store(e.k_p, num);
+      if (key == "k_g") fits = store(e.k_g, num);
+      if (key == "k_l") fits = store(e.k_l, num);
+      if (key == "conflict_limit") fits = store(s.conflict_limit, num);
+      if (key == "max_rounds") fits = store(s.max_rounds, num);
       if (key == "max_rewrite_rounds")
-        spec.params.max_rewrite_rounds = static_cast<unsigned>(num);
+        fits = store(spec.params.max_rewrite_rounds, num);
+      if (!fits) return fail("value out of range for " + key);
     } else {
-      return r.fail(error, "unknown key \"" + key + "\"");
+      return fail("unknown key \"" + key + "\"");
     }
   }
-  if (!r.eat('}')) return r.fail(error, "expected '}'");
-  if (!r.at_end()) return r.fail(error, "trailing content after object");
   if (spec.a_path.empty() || spec.b_path.empty())
-    return r.fail(error, "both \"a\" and \"b\" paths are required");
+    return fail("both \"a\" and \"b\" paths are required");
   *out = std::move(spec);
   return true;
 }
 
 std::string result_to_json_line(const JobResult& result) {
-  std::string out = "{\"id\": \"" + escaped(result.id) + "\"";
-  out += ", \"verdict\": \"";
+  std::string out = "{\"id\": \"";
+  obs::json::append_escaped(out, result.id);
+  out += "\", \"verdict\": \"";
   out += to_string(result.verdict);
   out += "\"";
   char buf[64];
@@ -200,8 +108,11 @@ std::string result_to_json_line(const JobResult& result) {
     for (const bool v : *result.cex) out += v ? '1' : '0';
     out += "\"";
   }
-  if (!result.error.empty())
-    out += ", \"error\": \"" + escaped(result.error) + "\"";
+  if (!result.error.empty()) {
+    out += ", \"error\": \"";
+    obs::json::append_escaped(out, result.error);
+    out += "\"";
+  }
   out += "}";
   return out;
 }

@@ -20,9 +20,12 @@
 ///   "interleave_rewriting"   bool, portfolio §V item 3
 ///   "max_rewrite_rounds"     rewrite-round cap
 ///
-/// Unknown keys are an error (a typo silently ignored would change the
-/// verdict contract of the submitted job). Blank lines and lines whose
-/// first non-space character is '#' are skipped by callers.
+/// The line is read by the shared obs::json parser; a value of the wrong
+/// type (nested objects, arrays and null included), a negative or
+/// out-of-range number and an unknown key are errors naming the key (a
+/// typo silently ignored would change the verdict contract of the
+/// submitted job). Blank lines and lines whose first non-space character
+/// is '#' are skipped by callers.
 
 #include <string>
 

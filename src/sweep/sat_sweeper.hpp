@@ -142,17 +142,26 @@ struct ShardStats {
   double busy_seconds = 0; ///< wall time inside the shard loop
 };
 
+/// Always-published SweeperStats rows: X(type, field, default, catalog
+/// constant). Each row is the only declaration of its counter: it
+/// generates the struct field and its `sat_sweeper.*` gauge in
+/// portfolio::publish_sweeper_stats(). `solve_faults` counts solve
+/// entries failed by the "sat.solve" injection site (DESIGN.md §2.4);
+/// each is treated exactly like a conflict-limit kUnknown, the sweeper's
+/// native sound failure mode.
+#define SIMSWEEP_SWEEPER_COUNTERS(X)                                        \
+  X(std::size_t, sat_calls, 0, obs::metric::kSweeperSatCalls)               \
+  X(std::size_t, pairs_proved, 0, obs::metric::kSweeperPairsProved)         \
+  X(std::size_t, pairs_disproved, 0, obs::metric::kSweeperPairsDisproved)   \
+  X(std::size_t, pairs_undecided, 0, obs::metric::kSweeperPairsUndecided)   \
+  X(std::uint64_t, conflicts, 0, obs::metric::kSweeperConflicts)            \
+  X(std::size_t, solve_faults, 0, obs::metric::kSweeperSolveFaults)
+
 struct SweeperStats {
-  std::size_t sat_calls = 0;
-  std::size_t pairs_proved = 0;
-  std::size_t pairs_disproved = 0;
-  std::size_t pairs_undecided = 0;
-  std::uint64_t conflicts = 0;
+#define SIMSWEEP_SWEEPER_FIELD(type, field, init, metric) type field = init;
+  SIMSWEEP_SWEEPER_COUNTERS(SIMSWEEP_SWEEPER_FIELD)
+#undef SIMSWEEP_SWEEPER_FIELD
   double seconds = 0;
-  /// Solve entries failed by the "sat.solve" injection site (DESIGN.md
-  /// §2.4); each is treated exactly like a conflict-limit kUnknown, the
-  /// sweeper's native sound failure mode.
-  std::size_t solve_faults = 0;
 
   // --- Parallel-sweep extras (zero / empty for the sequential sweeper).
   //

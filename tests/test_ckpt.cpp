@@ -193,6 +193,66 @@ TEST(CkptFormat, MergeJournalOrderingGateHolds) {
   EXPECT_FALSE(parse(bad.data(), bad.size()).has_value());
 }
 
+TEST(CkptFormat, GoldenEncodingIsPinned) {
+  // Pins simsweep.ckpt.v1 byte for byte: every EngineStats/DegradeState
+  // field holds a distinct value, so a reordered, retyped or dropped stats
+  // row changes the bytes. A mismatch means existing snapshots no longer
+  // load — bump kFormatVersion instead of updating the constants.
+  Snapshot s;
+  s.stage = Stage::kSweep;
+  s.fingerprint = 0x0123456789ABCDEFull;
+  s.elapsed_seconds = 2.5;
+  s.boundary = "round";
+  engine::EngineStats& e = s.engine_stats;
+  e.po_seconds = 0.125;
+  e.global_seconds = 0.25;
+  e.local_seconds = 0.5;
+  e.other_seconds = 0.75;
+  e.total_seconds = 1.625;
+  e.initial_ands = 101;
+  e.final_ands = 102;
+  e.pos_total = 103;
+  e.pos_proved = 104;
+  e.pairs_proved_global = 105;
+  e.pairs_proved_local = 106;
+  e.pairs_disproved = 107;
+  e.cex_count = 108;
+  e.local_phases = 109;
+  engine::DegradeState& d = s.degrade;
+  d.memory_words = 201;
+  d.window_merging = false;
+  d.ladder_steps = 202;
+  d.memory_halvings = 203;
+  d.merge_fallbacks = 204;
+  d.batch_splits = 205;
+  d.deadline_expiries = 206;
+  d.units_abandoned = 207;
+  d.pass_retries = 208;
+  d.faults_recovered = 209;
+  aig::Aig g(3);
+  const aig::Lit x = g.add_and(g.pi_lit(0), g.pi_lit(1));
+  g.add_po(g.add_and(aig::lit_not(x), g.pi_lit(2)));
+  s.miter = g;
+  sim::PatternBank bank(3, 2);
+  for (std::size_t wd = 0; wd < 2; ++wd)
+    for (unsigned pi = 0; pi < 3; ++pi)
+      bank.word(pi, wd) = 0x1111111111111111ull * (pi + 1) + wd;
+  s.bank = bank;
+  s.merges.emplace_back(5, aig::make_lit(4, true));
+  s.removed.push_back(4);
+  s.next_round = 3;
+  s.sweep_pairs_proved = 7;
+  s.sweep_pairs_disproved = 8;
+  s.sweep_pairs_undecided = 9;
+
+  const std::vector<std::uint8_t> bytes = serialize(s);
+  EXPECT_EQ(bytes.size(), 395u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size() - 4), 0xC63232ADu);
+  const std::optional<Snapshot> p = parse(bytes.data(), bytes.size());
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(serialize(*p), bytes);
+}
+
 // --- Manager: atomic writes, the last-good ladder, throttling. ---
 
 TEST(CkptManager, EmptyPathDisablesEverything) {
@@ -456,6 +516,40 @@ TEST(CkptResume, SweeperRoundJournalReplaysToIdenticalVerdict) {
   EXPECT_EQ(resumed.verdict, fresh.verdict);
   EXPECT_EQ(resumed.stats.pairs_proved, fresh.stats.pairs_proved);
   EXPECT_EQ(resumed.stats.pairs_disproved, fresh.stats.pairs_disproved);
+}
+
+TEST(CkptResume, SweepStageResumeRepublishesDegradeState) {
+  // A sweep-stage snapshot skips the finished engine chain on resume; the
+  // report must still carry the snapshot's ladder state exactly as the
+  // uninterrupted run's engine published it, faults.recovered included.
+  CheckpointedParams p;
+  p.combined.engine.enable_po_phase = false;
+  p.combined.engine.k_P = 6;
+  p.combined.engine.k_p = 4;
+  p.combined.engine.k_g = 4;
+  p.combined.engine.k_l = 4;
+  p.combined.engine.memory_words = std::size_t{1} << 16;
+  p.checkpoint_path = temp_path("simsweep_ckpt_sweep_stage.ckpt");
+
+  const aig::Aig miter = aig::make_miter(gen::array_multiplier(3),
+                                         gen::wallace_multiplier(3));
+  Snapshot s;
+  s.stage = Stage::kSweep;
+  s.fingerprint = run_fingerprint(miter, p.combined);
+  s.boundary = "round";
+  s.miter = miter;
+  s.degrade.ladder_steps = 2;
+  s.degrade.pass_retries = 4;
+  s.degrade.faults_recovered = 3;
+  write_bytes_file(p.checkpoint_path, serialize(s));
+
+  const CheckpointedResult r = checked_combined_check_miter(miter, p);
+  ASSERT_TRUE(r.resumed);
+  EXPECT_EQ(r.combined.verdict, Verdict::kEquivalent);
+  const obs::Snapshot& m = r.combined.report;
+  EXPECT_EQ(m.count(obs::metric::kFaultsRecovered), 3u);
+  EXPECT_EQ(m.count(obs::metric::kDegradeLadderSteps), 2u);
+  EXPECT_EQ(m.count(obs::metric::kDegradePassRetries), 4u);
 }
 
 // --- Supervisor: crash-restart with exponential backoff. ---

@@ -1,8 +1,8 @@
 /// \file test_fuzz.cpp
-/// \brief Robustness fuzzing: the AIGER reader and DIMACS parser must
-/// reject corrupted inputs with exceptions — never crash, hang or accept
-/// garbage silently — and randomized pipeline compositions must stay
-/// sound.
+/// \brief Robustness fuzzing: the AIGER reader, checkpoint loader, job
+/// line reader and run-report validator must reject corrupted inputs —
+/// never crash, hang or accept garbage silently — and randomized pipeline
+/// compositions must stay sound.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +14,11 @@
 #include "ckpt/checkpoint.hpp"
 #include "common/random.hpp"
 #include "gen/arith.hpp"
+#include "obs/metric_names.hpp"
+#include "obs/report.hpp"
 #include "opt/balance.hpp"
-#include "opt/exact3.hpp"
 #include "opt/refactor.hpp"
-#include "sat/dimacs.hpp"
+#include "service/json_jobs.hpp"
 #include "sim/partial_sim.hpp"
 #include "test_util.hpp"
 
@@ -166,28 +167,74 @@ TEST_P(CkptFuzz, BitFlipAndTruncationMutationsNeverInvokeUb) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CkptFuzz, ::testing::Values(920, 921, 922));
 
-TEST(DimacsFuzz, GarbageRejectedGracefully) {
-  Rng rng(55);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string text = "p cnf 4 3\n";
-    for (int i = 0; i < 20; ++i) {
-      switch (rng.below(6)) {
-        case 0: text += "p cnf 2 2\n"; break;
-        case 1: text += std::to_string(static_cast<int>(rng.below(19)) - 9);
-                text += " ";
-                break;
-        case 2: text += "0\n"; break;
-        case 3: text += "c junk\n"; break;
-        case 4: text += "%\n"; break;
-        default: text += "\n"; break;
-      }
-    }
-    try {
-      (void)sat::parse_dimacs_string(text);
-    } catch (const std::exception&) {
+class JsonFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// 1-8 single-bit flips, then (half the trials) truncation to a random
+/// prefix — the mutation scheme of the AIGER and checkpoint loops above.
+std::string mutate_text(std::string text, Rng& rng) {
+  const int flips = 1 + static_cast<int>(rng.below(8));
+  for (int f = 0; f < flips; ++f) {
+    const std::size_t at = rng.below(text.size());
+    text[at] = static_cast<char>(text[at] ^ (1 << rng.below(8)));
+  }
+  if (rng.below(2) == 0) text.resize(rng.below(text.size() + 1));
+  return text;
+}
+
+TEST_P(JsonFuzz, MutatedJobLinesNeverCrashTheParser) {
+  // `cec_tool --batch` reads job lines from files and stdin: any mutant
+  // must either parse into a spec with both paths or be rejected with a
+  // reason — never crash or trip a sanitizer (asan + ubsan labels).
+  const std::string good =
+      R"({"id": "j\"1", "a": "x.aig", "b": "y.aig", "deadline": 2.5, )"
+      R"("priority": 3, "seed": 7, "k_P": 20, "conflict_limit": 5000, )"
+      R"("interleave_rewriting": true, "max_rewrite_rounds": 2})";
+  service::JobSpec spec;
+  std::string error;
+  ASSERT_TRUE(service::parse_job_line(good, &spec, &error)) << error;
+
+  Rng rng(GetParam() * 151 + 5);
+  for (int trial = 0; trial < 400; ++trial) {
+    service::JobSpec out;
+    error.clear();
+    if (service::parse_job_line(mutate_text(good, rng), &out, &error)) {
+      ASSERT_FALSE(out.a_path.empty());
+      ASSERT_FALSE(out.b_path.empty());
+    } else {
+      ASSERT_FALSE(error.empty());
     }
   }
 }
+
+TEST_P(JsonFuzz, MutatedReportsNeverCrashTheValidator) {
+  // Run reports are read back from files (tools/check_report): a mutant
+  // either still validates or is rejected with a reason.
+  obs::Registry r;
+  r.add(obs::metric::kExhaustiveBatches, 3);
+  r.add(obs::metric::kEcBuilds, 2);
+  r.add(obs::metric::kPartialSimSimulateCalls, 5);
+  r.add(obs::metric::kMiterRebuilds, 1);
+  r.add(std::string(obs::metric::kCutPassPrefix) + "1.checks", 12);
+  r.set(obs::metric::kPoolWorkers, 4.0);
+  r.set(obs::metric::kEngineTotalSeconds, 0.25);
+  r.add(obs::metric::kFaultsInjected, 0);
+  r.add(obs::metric::kDegradeLadderSteps, 0);
+  r.add(obs::metric::kCkptWrites, 0);
+  r.add(obs::metric::kSupervisorRestarts, 0);
+  const std::string good = obs::to_json(r.snapshot());
+  std::string error;
+  ASSERT_TRUE(obs::validate_report_json(good, &error)) << error;
+
+  Rng rng(GetParam() * 157 + 11);
+  for (int trial = 0; trial < 400; ++trial) {
+    error.clear();
+    if (!obs::validate_report_json(mutate_text(good, rng), &error)) {
+      ASSERT_FALSE(error.empty());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JsonFuzz, ::testing::Values(930, 931, 932));
 
 class PipelineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -198,11 +245,7 @@ TEST_P(PipelineFuzz, RandomOptimizationChainsPreserveFunction) {
   aig::Aig a = testutil::random_aig(7, 80, 4, GetParam() + 40);
   const aig::Aig original = a;
   for (int step = 0; step < 4; ++step) {
-    switch (rng.below(3)) {
-      case 0: a = opt::balance(a); break;
-      case 1: a = opt::rewrite(a); break;
-      default: a = opt::exact_rewrite3(a); break;
-    }
+    a = rng.below(2) == 0 ? opt::balance(a) : opt::rewrite(a);
   }
   EXPECT_TRUE(aig::brute_force_equivalent(original, a));
 }

@@ -3,6 +3,7 @@
 /// counter/gauge registry, the JSON run-report emitter/validator, and the
 /// end-to-end report shape of an engine run.
 
+#include "obs/json.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
@@ -99,9 +100,9 @@ TEST(ObsRegistry, ConcurrentPublishersAgree) {
               static_cast<std::uint64_t>(kIters));
 }
 
-/// A registry covering the report schema's required sections (v2 added
-/// faults/degrade, v3 adds ckpt/supervisor; the sections must exist, zero
-/// values are the healthy state).
+/// A registry covering the report schema's required sections (the
+/// faults/degrade/ckpt/supervisor sections must exist, zero values are the
+/// healthy state).
 Registry& fill_valid(Registry& r) {
   r.add(obs::metric::kExhaustiveBatches, 3);
   r.add("cut.pass1.checks", 12);
@@ -115,6 +116,28 @@ Registry& fill_valid(Registry& r) {
   r.add(obs::metric::kCkptWrites, 0);
   r.add(obs::metric::kSupervisorRestarts, 0);
   return r;
+}
+
+TEST(ObsJson, EscapedStringsRoundTripAndErrorsCarryOffsets) {
+  // The one escaper and the one reader agree: every byte, control
+  // characters included, survives escape -> parse.
+  const std::string raw = "quo\"te back\\slash\nline\ttab\x01ctl";
+  std::string doc = "{\"k\": \"";
+  json::append_escaped(doc, raw);
+  doc += "\", \"n\": [1, -2.5e1, true, null]}";
+  std::string error;
+  const std::optional<json::Value> v = json::parse(doc, &error);
+  ASSERT_TRUE(v.has_value()) << error;
+  ASSERT_NE(v->get("k"), nullptr);
+  EXPECT_EQ(v->get("k")->string, raw);
+  ASSERT_NE(v->at("n"), nullptr);
+  ASSERT_EQ(v->at("n")->items.size(), 4u);
+  EXPECT_EQ(v->at("n")->items[1].number, -25.0);
+
+  EXPECT_FALSE(json::parse("{\"a\": 01}", &error).has_value());
+  EXPECT_NE(error.find("offset 7"), std::string::npos) << error;
+  EXPECT_FALSE(json::parse(std::string(100, '['), &error).has_value());
+  EXPECT_NE(error.find("too deep"), std::string::npos) << error;
 }
 
 TEST(ObsReport, EmitAndValidateRoundTrip) {
@@ -161,15 +184,10 @@ TEST(ObsReport, ValidatorRejectsBadReports) {
 }
 
 TEST(ObsReport, V2RequiresFaultAndDegradeSections) {
-  // A v2-tagged report without the robustness sections is invalid; their
-  // *presence* (not nonzero-ness) is the v2 contract. to_json always
-  // stamps the newest schema id, so retag each emission as v2.
-  const auto as_v2 = [](std::string json) {
-    const std::size_t at = json.find(kSchemaId);
-    EXPECT_NE(at, std::string::npos);
-    json.replace(at, std::string(kSchemaId).size(), kSchemaIdV2);
-    return json;
-  };
+  // The robustness sections (DESIGN.md §2.4), introduced with schema v2,
+  // stay required in v3: a current report that carries every other section
+  // but lacks `faults` or `degrade` is invalid and names the missing one.
+  // Presence, not nonzero-ness, is the contract.
   Registry r;
   r.add(obs::metric::kExhaustiveBatches, 3);
   r.add("cut.pass1.checks", 12);
@@ -177,23 +195,24 @@ TEST(ObsReport, V2RequiresFaultAndDegradeSections) {
   r.add(obs::metric::kPartialSimSimulateCalls, 5);
   r.add(obs::metric::kMiterRebuilds, 1);
   r.set(obs::metric::kPoolWorkers, 4.0);
+  r.add(obs::metric::kCkptWrites, 0);
+  r.add(obs::metric::kSupervisorRestarts, 0);
   std::string error;
-  EXPECT_FALSE(validate_report_json(as_v2(to_json(r.snapshot())), &error));
-  EXPECT_NE(error.find("faults"), std::string::npos);
+  EXPECT_FALSE(validate_report_json(to_json(r.snapshot()), &error));
+  EXPECT_NE(error.find("faults"), std::string::npos) << error;
 
   r.add(obs::metric::kFaultsInjected, 0);
-  EXPECT_FALSE(validate_report_json(as_v2(to_json(r.snapshot())), &error));
-  EXPECT_NE(error.find("degrade"), std::string::npos);
+  EXPECT_FALSE(validate_report_json(to_json(r.snapshot()), &error));
+  EXPECT_NE(error.find("degrade"), std::string::npos) << error;
 
   r.add(obs::metric::kDegradeLadderSteps, 0);
-  EXPECT_TRUE(validate_report_json(as_v2(to_json(r.snapshot())), &error))
-      << error;
+  EXPECT_TRUE(validate_report_json(to_json(r.snapshot()), &error)) << error;
 }
 
 TEST(ObsReport, V3RequiresCkptAndSupervisorSections) {
-  // v3 (DESIGN.md §2.8) additionally requires the checkpoint/supervisor
-  // sections; presence, not nonzero-ness, is the contract — an unarmed
-  // run reports zero writes and zero restarts.
+  // v3 adds the checkpoint/supervisor sections (DESIGN.md §2.8); presence,
+  // not nonzero-ness, is the contract — an unarmed run reports zero writes
+  // and zero restarts. Each missing section is named in the error.
   Registry r;
   r.add(obs::metric::kExhaustiveBatches, 3);
   r.add("cut.pass1.checks", 12);
@@ -205,32 +224,31 @@ TEST(ObsReport, V3RequiresCkptAndSupervisorSections) {
   r.add(obs::metric::kDegradeLadderSteps, 0);
   std::string error;
   EXPECT_FALSE(validate_report_json(to_json(r.snapshot()), &error));
-  EXPECT_NE(error.find("ckpt"), std::string::npos);
+  EXPECT_NE(error.find("ckpt"), std::string::npos) << error;
 
   r.add(obs::metric::kCkptWrites, 0);
   EXPECT_FALSE(validate_report_json(to_json(r.snapshot()), &error));
-  EXPECT_NE(error.find("supervisor"), std::string::npos);
+  EXPECT_NE(error.find("supervisor"), std::string::npos) << error;
 
   r.add(obs::metric::kSupervisorRestarts, 0);
   EXPECT_TRUE(validate_report_json(to_json(r.snapshot()), &error)) << error;
 }
 
-TEST(ObsReport, V1ReportsStillAccepted) {
-  // Archived v1 documents (no fault telemetry) keep validating: emit a v2
-  // report without the robustness sections and retag it as v1.
+TEST(ObsReport, OldSchemaTagsRejected) {
+  // Only the current tag validates: a complete report retagged v1 or v2
+  // is rejected with the tag named in the error.
   Registry r;
-  r.add(obs::metric::kExhaustiveBatches, 3);
-  r.add("cut.pass1.checks", 12);
-  r.add(obs::metric::kEcBuilds, 2);
-  r.add(obs::metric::kPartialSimSimulateCalls, 5);
-  r.add(obs::metric::kMiterRebuilds, 1);
-  r.set(obs::metric::kPoolWorkers, 4.0);
-  std::string json = to_json(r.snapshot());
+  const std::string json = to_json(fill_valid(r).snapshot());
   const std::size_t at = json.find(kSchemaId);
   ASSERT_NE(at, std::string::npos);
-  json.replace(at, std::string(kSchemaId).size(), kSchemaIdV1);
-  std::string error;
-  EXPECT_TRUE(validate_report_json(json, &error)) << error;
+  for (const char* old_tag :
+       {"simsweep.run_report.v1", "simsweep.run_report.v2"}) {
+    std::string retagged = json;
+    retagged.replace(at, std::string(kSchemaId).size(), old_tag);
+    std::string error;
+    EXPECT_FALSE(validate_report_json(retagged, &error)) << old_tag;
+    EXPECT_NE(error.find(old_tag), std::string::npos) << error;
+  }
 }
 
 TEST(ObsReport, EngineRunEmitsValidReport) {

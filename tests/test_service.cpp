@@ -359,6 +359,19 @@ TEST(CecServiceJobSpec, RejectsUnknownKeysAndMissingPaths) {
       parse_job_line(R"({"a": "x.aig", "b": "y.aig"} junk)", &spec, &error));
   error.clear();
   EXPECT_FALSE(parse_job_line("not json", &spec, &error));
+  // Values of the wrong shape or out of the field's range name the key.
+  error.clear();
+  EXPECT_FALSE(parse_job_line(R"({"a": {"p": "x.aig"}, "b": "y.aig"})",
+                              &spec, &error));
+  EXPECT_NE(error.find("\"a\""), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(parse_job_line(R"({"a": "x.aig", "b": "y.aig", "k_P": 1e20})",
+                              &spec, &error));
+  EXPECT_NE(error.find("k_P"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(parse_job_line(R"({"a": "x.aig", "b": "y.aig", "seed": -1})",
+                              &spec, &error));
+  EXPECT_NE(error.find("seed"), std::string::npos) << error;
 }
 
 TEST(CecServiceJobSpec, ResultLineEscapesAndRoundTrips) {

@@ -5,23 +5,28 @@
 /// engine parameters), writes the run report to argv[1], reads it back
 /// and validates it against schema simsweep.run_report.v3 — including the
 /// acceptance contract that all five paper-module sections carry nonzero
-/// counters, that the v2 robustness sections (`faults`, `degrade`,
-/// DESIGN.md §2.4) are present with their expected leaves, and that the
-/// v3 checkpoint-durability sections (`ckpt`, `supervisor`, DESIGN.md
-/// §2.8) are present. A second (sharded-sweep) and third (batch-service,
-/// DESIGN.md §2.9) flow validate the sat_sweeper shard gauges and the
-/// per-job/aggregate service reports. Exit code 0 on success, 1 on any
-/// failure.
+/// counters and that the robustness (`faults`, `degrade`, DESIGN.md §2.4)
+/// and checkpoint-durability (`ckpt`, `supervisor`, §2.8) sections are
+/// present with their expected leaves. A second (sharded-sweep) and third
+/// (batch-service, DESIGN.md §2.9) flow validate the sat_sweeper shard
+/// gauges and the per-job/aggregate service reports. Leaves are checked
+/// at their full dotted path through the shared JSON reader, so a
+/// same-named leaf in another section does not satisfy a check. Exit code
+/// 0 on success, 1 on any failure.
 ///
 /// Usage: ./check_report <report-path>
 
 #include <cstdio>
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "gen/arith.hpp"
 #include "gen/suite.hpp"
+#include "obs/json.hpp"
+#include "obs/metric_names.hpp"
 #include "obs/report.hpp"
 #include "portfolio/portfolio.hpp"
 #include "service/cec_service.hpp"
@@ -61,6 +66,37 @@ bool check_families(const simsweep::obs::Snapshot& snapshot,
     ok = false;
   }
   return ok;
+}
+
+/// Parses `json` and checks that every metric in `names` is a numeric
+/// leaf at `metrics.<name>`. Returns the parsed document, or nullopt
+/// after reporting the first missing leaf.
+std::optional<simsweep::obs::json::Value> require_leaves(
+    const std::string& json, std::initializer_list<std::string> names,
+    const char* which) {
+  using simsweep::obs::json::Value;
+  std::string error;
+  std::optional<Value> doc = simsweep::obs::json::parse(json, &error);
+  if (!doc) {
+    std::fprintf(stderr, "check_report: %s report is not JSON: %s\n", which,
+                 error.c_str());
+    return std::nullopt;
+  }
+  for (const std::string& name : names) {
+    const Value* leaf = doc->at("metrics." + name);
+    if (leaf == nullptr || leaf->type != Value::Type::kNumber) {
+      std::fprintf(stderr, "check_report: %s report lacks metrics.%s\n",
+                   which, name.c_str());
+      return std::nullopt;
+    }
+  }
+  return doc;
+}
+
+/// Value of the metric leaf `name`; require_leaves() checked it exists.
+double leaf_value(const simsweep::obs::json::Value& doc,
+                  const std::string& name) {
+  return doc.at("metrics." + name)->number;
 }
 
 }  // namespace
@@ -117,25 +153,21 @@ int main(int argc, char** argv) {
   }
   if (!check_families(r.report, "demo")) return 1;
 
-  // The generic validator only requires the v2 robustness sections to be
+  // The generic validator only requires the robustness sections to be
   // present; the demo flow additionally guarantees the specific leaves
   // the engine publishes unconditionally (zero-valued when healthy).
-  for (const char* leaf : {"\"faults\"", "\"injected\"", "\"degrade\"",
-                           "\"ladder_steps\"", "\"units_abandoned\"",
-                           "\"carryover\"", "\"full_resims\"",
-                           "\"incremental_words\"", "\"ckpt\"",
-                           "\"writes\"", "\"supervisor\"",
-                           "\"restarts\""}) {
-    if (json.find(leaf) == std::string::npos) {
-      std::fprintf(stderr, "check_report: report lacks expected key %s\n",
-                   leaf);
-      return 1;
-    }
-  }
+  const std::optional<obs::json::Value> demo = require_leaves(
+      json,
+      {obs::metric::kFaultsInjected, obs::metric::kFaultsRecovered,
+       obs::metric::kDegradeLadderSteps, obs::metric::kDegradeUnitsAbandoned,
+       obs::metric::kPartialSimCarryClasses, obs::metric::kPartialSimFullResims,
+       obs::metric::kPartialSimIncrementalWords, obs::metric::kCkptWrites,
+       obs::metric::kSupervisorRestarts},
+      "demo");
+  if (!demo) return 1;
 
-  // A healthy (injection-free) demo run must not record any fired fault
-  // or ladder activity.
-  if (json.find("\"injected\": 0") == std::string::npos) {
+  // A healthy (injection-free) demo run must not record any fired fault.
+  if (leaf_value(*demo, obs::metric::kFaultsInjected) != 0) {
     std::fprintf(stderr,
                  "check_report: healthy run reports nonzero faults.injected\n");
     return 1;
@@ -175,26 +207,27 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!check_families(rs.report, "sharded")) return 1;
-  for (const char* leaf :
-       {"\"shards\"", "\"chunks\"", "\"steals\"", "\"board_merges\"",
-        "\"cex_shared\"", "\"pairs_sim_resolved\"", "\"parallel_fallbacks\"",
-        "\"shard\"", "\"ckpt\"", "\"supervisor\""}) {
-    if (shard_json.find(leaf) == std::string::npos) {
-      std::fprintf(stderr,
-                   "check_report: sharded report lacks expected key %s\n",
-                   leaf);
-      return 1;
-    }
-  }
+  if (!require_leaves(
+          shard_json,
+          {obs::metric::kSweeperShards, obs::metric::kSweeperChunks,
+           obs::metric::kSweeperSteals, obs::metric::kSweeperBoardMerges,
+           obs::metric::kSweeperCexShared,
+           obs::metric::kSweeperPairsSimResolved,
+           obs::metric::kSweeperParallelFallbacks,
+           std::string(obs::metric::kSweeperShardPrefix) + "0.chunks"},
+          "sharded"))
+    return 1;
   std::printf("check_report: sharded-sweep report carries the "
               "sat_sweeper shard gauges\n");
 
   // Third flow: the batch job service (DESIGN.md §2.9). Three jobs — the
-  // multiplier pair, the same pair again (must be a fingerprint cache
-  // hit), and an adder pair — through one CecService. Each job's
-  // per-job report must be a valid v3 report of its own, the duplicate's
-  // report must be byte-identical to the original's, and the service's
-  // aggregate snapshot must stay inside the `service` schema family.
+  // multiplier pair, the same pair again, and an adder pair — through
+  // one CecService. The two identical jobs run concurrently, so exactly
+  // one of them (whichever probes the cache second) must be a
+  // fingerprint cache hit, coalesced onto the other's run. Each job's
+  // per-job report must be a valid v3 report of its own, the duplicates'
+  // reports must be byte-identical, and the service's aggregate snapshot
+  // must stay inside the `service` schema family.
   {
     service::ServiceParams svc_params;
     svc_params.max_concurrent_jobs = 2;
@@ -226,27 +259,23 @@ int main(int argc, char** argv) {
                    error.c_str());
       return 1;
     }
-    if (!results[1].cache_hit ||
+    if (results[0].cache_hit == results[1].cache_hit ||
         obs::to_json(results[1].report) != job_json) {
       std::fprintf(stderr,
-                   "check_report: resubmitted job is not a cache hit with "
-                   "an identical report\n");
+                   "check_report: the resubmitted pair is not exactly one "
+                   "cache hit with identical reports\n");
       return 1;
     }
     const obs::Snapshot agg = svc.metrics();
     if (!check_families(agg, "service")) return 1;
-    const std::string svc_json = obs::to_json(agg);
-    for (const char* leaf :
-         {"\"jobs_submitted\"", "\"jobs_completed\"", "\"cache_hits\"",
-          "\"cache_misses\"", "\"jobs_rejected\""}) {
-      if (svc_json.find(leaf) == std::string::npos) {
-        std::fprintf(stderr,
-                     "check_report: service snapshot lacks expected key %s\n",
-                     leaf);
-        return 1;
-      }
-    }
-    if (svc_json.find("\"cache_hits\": 1") == std::string::npos) {
+    const std::optional<obs::json::Value> svc_doc = require_leaves(
+        obs::to_json(agg),
+        {obs::metric::kServiceJobsSubmitted,
+         obs::metric::kServiceJobsCompleted, obs::metric::kServiceCacheHits,
+         obs::metric::kServiceCacheMisses, obs::metric::kServiceJobsRejected},
+        "service");
+    if (!svc_doc) return 1;
+    if (leaf_value(*svc_doc, obs::metric::kServiceCacheHits) != 1) {
       std::fprintf(stderr,
                    "check_report: batch flow did not record the cache hit\n");
       return 1;
