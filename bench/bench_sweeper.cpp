@@ -1,15 +1,14 @@
 /// \file bench_sweeper.cpp
 /// \brief Throughput benchmark of the SAT residue sweep (DESIGN.md §2.5):
-/// sequential SatSweeper vs the sharded ParallelSatSweeper at 1/2/4
-/// shards on a multiplier miter — the workload class whose residue
-/// dominates combined-flow wall time.
+/// the sequential scheduler vs the chunk scheduler at 2/4 shards, all
+/// through sweep::sweep_miter, on a multiplier miter — the workload class
+/// whose residue dominates combined-flow wall time.
 ///
 /// Metric: candidate pairs resolved per wall second (and conflicts/sec as
-/// the solver-effort view). The parallel sweeper's win on a single core
-/// is algorithmic — small-support pairs are settled by exhaustive cone
+/// the solver-effort view). Most of the chunk scheduler's win is
+/// algorithmic — small-support pairs are settled by exhaustive cone
 /// simulation (sim_support_limit) instead of SAT, the paper's
-/// simulation-first thesis — so the 1-shard parallel row isolates that
-/// effect and the 2/4-shard rows add scheduling overlap.
+/// simulation-first thesis — and the shard count adds scheduling overlap.
 ///
 /// JSON emitter (`--json FILE [--smoke]`) writes one row per config plus
 /// the speedup table; the `bench_sweeper_smoke` ctest keeps the perf
@@ -38,7 +37,6 @@
 #include "common/verdict.hpp"
 #include "gen/arith.hpp"
 #include "sweep/parallel_sweeper.hpp"
-#include "sweep/sat_sweeper.hpp"
 
 namespace {
 
@@ -61,8 +59,7 @@ struct JsonRow {
 };
 
 std::size_t resolved_pairs(const sweep::SweeperStats& s) {
-  return s.pairs_proved + s.pairs_disproved + s.pairs_undecided +
-         s.pairs_pruned;
+  return s.pairs_proved + s.pairs_disproved + s.pairs_undecided;
 }
 
 /// Times repeated full sweeps produced by `run` (one warm-up sweep
@@ -107,24 +104,14 @@ int run_json(const char* path, bool smoke) {
   const double min_seconds = smoke ? 0.2 : 2.0;
 
   std::vector<JsonRow> rows;
-  {
-    const sweep::SweeperParams p;  // num_threads = 1: sequential SatSweeper
-    rows.push_back(measure(
-        "sequential", 1,
-        [&] { return sweep::SatSweeper(p).check_miter(miter); }, min_reps,
-        min_seconds));
-  }
-  // shard_sweep_1 bypasses the dispatcher (which would route one thread
-  // back to the sequential sweeper): it isolates the algorithmic effect of
-  // simulation-first pair resolution on a single core, before 2/4 add
-  // actual scheduling overlap.
   for (const unsigned threads : {1u, 2u, 4u}) {
     sweep::SweeperParams p;
     p.num_threads = threads;
     rows.push_back(measure(
-        "shard_sweep_" + std::to_string(threads), threads,
-        [&] { return sweep::ParallelSatSweeper(p).check_miter(miter); },
-        min_reps, min_seconds));
+        threads == 1 ? std::string("sequential")
+                     : "shard_sweep_" + std::to_string(threads),
+        threads, [&] { return sweep::sweep_miter(miter, p); }, min_reps,
+        min_seconds));
   }
 
   // Acceptance: identical verdicts across every config.

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 namespace simsweep::bdd {
 
@@ -157,37 +156,6 @@ double BddManager::sat_count(Ref f) const {
     return r;
   };
   return count(count, f) * std::pow(2.0, static_cast<double>(top_var(f)));
-}
-
-std::size_t BddManager::dag_size(Ref f) const {
-  if (is_const(f)) return 0;
-  std::unordered_set<Ref> seen;
-  std::vector<Ref> stack{f};
-  seen.insert(f);
-  while (!stack.empty()) {
-    const Ref r = stack.back();
-    stack.pop_back();
-    for (const Ref child : {nodes_[r].low, nodes_[r].high})
-      if (!is_const(child) && seen.insert(child).second)
-        stack.push_back(child);
-  }
-  return seen.size();
-}
-
-bool BddManager::uses_var_at_or_above(Ref f, std::uint32_t bound) const {
-  if (is_const(f)) return false;
-  std::unordered_set<Ref> seen;
-  std::vector<Ref> stack{f};
-  seen.insert(f);
-  while (!stack.empty()) {
-    const Ref r = stack.back();
-    stack.pop_back();
-    if (nodes_[r].var >= bound) return true;
-    for (const Ref child : {nodes_[r].low, nodes_[r].high})
-      if (!is_const(child) && seen.insert(child).second)
-        stack.push_back(child);
-  }
-  return false;
 }
 
 bool BddManager::evaluate(Ref f, const std::vector<bool>& assignment) const {

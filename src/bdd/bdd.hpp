@@ -59,13 +59,6 @@ class BddManager {
   /// Evaluates f under a complete assignment.
   bool evaluate(Ref f, const std::vector<bool>& assignment) const;
 
-  /// Number of BDD nodes in the DAG rooted at f (terminals excluded).
-  std::size_t dag_size(Ref f) const;
-
-  /// True iff some node of f branches on a variable >= bound (used by
-  /// BDD sweeping to detect cutpoint-polluted functions).
-  bool uses_var_at_or_above(Ref f, std::uint32_t bound) const;
-
  private:
   struct Node {
     std::uint32_t var;  ///< branching variable (top-most in the order)

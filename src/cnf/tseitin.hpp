@@ -10,7 +10,7 @@
 /// only for nodes not yet encoded. Each AIG variable maps to one solver
 /// variable, created on first touch.
 ///
-/// Substitution-aware mode (the parallel sweeper's shard cores): when a
+/// Substitution-aware mode (the chunk scheduler's shard cores): when a
 /// SubstitutionMap is attached, every literal — the root and each fanin
 /// met during the cone walk — is resolved through the map first, so the
 /// encoded cone is the cone of the *reduced* graph. Proved merges

@@ -6,8 +6,7 @@
 /// Every mutex in the repo belongs to exactly one rank of a single total
 /// order, and nested acquisitions must strictly ascend it:
 ///
-///   service < pool < executor < board < cex_bank < ckpt < registry
-///     < fault < log
+///   service < pool < executor < ckpt < registry < fault < log
 ///
 /// The order is encoded twice from one table:
 ///
@@ -36,8 +35,6 @@
 ///             the outermost lock any participant thread inside a run can
 ///             hold
 ///   executor  portfolio VerdictBox — cross-engine race coordination
-///   board     sweep::EquivBoard journal
-///   cex_bank  sweep::SharedCexBank rows
 ///   ckpt      ckpt::CheckpointManager throttle/pending state — below
 ///             registry so a write can publish its metrics under the lock
 ///   registry  obs::Registry cell map
@@ -54,12 +51,10 @@ enum class LockRank : int {
   kService = 0,
   kPool = 1,
   kExecutor = 2,
-  kBoard = 3,
-  kCexBank = 4,
-  kCkpt = 5,
-  kRegistry = 6,
-  kFault = 7,
-  kLog = 8,
+  kCkpt = 3,
+  kRegistry = 4,
+  kFault = 5,
+  kLog = 6,
 };
 
 const char* to_string(LockRank rank);
@@ -89,21 +84,14 @@ inline RankAnchor service{LockRank::kService};
 inline RankAnchor pool SIMSWEEP_ACQUIRED_AFTER(service){LockRank::kPool};
 inline RankAnchor executor SIMSWEEP_ACQUIRED_AFTER(service, pool){
     LockRank::kExecutor};
-inline RankAnchor board SIMSWEEP_ACQUIRED_AFTER(service, pool, executor){
-    LockRank::kBoard};
-inline RankAnchor cex_bank SIMSWEEP_ACQUIRED_AFTER(service, pool, executor,
-                                                   board){LockRank::kCexBank};
-inline RankAnchor ckpt SIMSWEEP_ACQUIRED_AFTER(service, pool, executor,
-                                               board, cex_bank){
+inline RankAnchor ckpt SIMSWEEP_ACQUIRED_AFTER(service, pool, executor){
     LockRank::kCkpt};
 inline RankAnchor registry SIMSWEEP_ACQUIRED_AFTER(service, pool, executor,
-                                                   board, cex_bank, ckpt){
-    LockRank::kRegistry};
+                                                   ckpt){LockRank::kRegistry};
 inline RankAnchor fault SIMSWEEP_ACQUIRED_AFTER(service, pool, executor,
-                                                board, cex_bank, ckpt,
-                                                registry){LockRank::kFault};
-inline RankAnchor log SIMSWEEP_ACQUIRED_AFTER(service, pool, executor,
-                                              board, cex_bank, ckpt,
+                                                ckpt, registry){
+    LockRank::kFault};
+inline RankAnchor log SIMSWEEP_ACQUIRED_AFTER(service, pool, executor, ckpt,
                                               registry, fault){LockRank::kLog};
 
 /// What the runtime checker does on an out-of-order acquisition. kAbort

@@ -76,11 +76,8 @@ void publish_sweeper_stats(obs::Registry& r, bool used,
   r.set(obs::metric::kSweeperShards, static_cast<double>(s.shards));
   r.set(obs::metric::kSweeperChunks, static_cast<double>(s.chunks));
   r.set(obs::metric::kSweeperSteals, static_cast<double>(s.steals));
-  r.set(obs::metric::kSweeperBoardMerges, static_cast<double>(s.board_merges));
-  r.set(obs::metric::kSweeperCexShared, static_cast<double>(s.cex_shared));
   r.set(obs::metric::kSweeperPairsSimResolved,
         static_cast<double>(s.pairs_sim_resolved));
-  r.set(obs::metric::kSweeperPairsPruned, static_cast<double>(s.pairs_pruned));
   r.set(obs::metric::kSweeperParallelFallbacks,
         static_cast<double>(s.parallel_fallbacks));
   for (std::size_t i = 0; i < s.shard.size(); ++i) {
@@ -235,14 +232,6 @@ PortfolioResult portfolio_check_miter(const aig::Aig& miter,
       bp.cancel = cancel;
       bdd::BddCecResult r = bdd::bdd_check_miter(miter, bp);
       box.deliver(r.verdict, std::move(r.cex), "bdd", total.seconds());
-    });
-  }
-  if (params.run_bdd_sweep) {
-    threads.emplace_back([&] {
-      bdd::BddSweepParams bp = params.bdd_sweep;
-      bp.cancel = cancel;
-      bdd::BddSweepResult r = bdd::bdd_sweep_miter(miter, bp);
-      box.deliver(r.verdict, std::move(r.cex), "bdd-sweep", total.seconds());
     });
   }
   for (auto& t : threads) t.join();

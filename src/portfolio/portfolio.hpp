@@ -20,7 +20,6 @@
 #include "aig/aig.hpp"
 #include "aig/miter.hpp"
 #include "bdd/bdd_cec.hpp"
-#include "bdd/bdd_sweep.hpp"
 #include "common/verdict.hpp"
 #include "engine/engine.hpp"
 #include "sweep/sat_sweeper.hpp"
@@ -96,19 +95,16 @@ struct PortfolioParams {
   CombinedParams combined;
   sweep::SweeperParams sweeper;
   bdd::BddCecParams bdd;
-  bdd::BddSweepParams bdd_sweep;
   bool run_combined = true;
   bool run_sat = true;
   bool run_bdd = true;
-  /// Kuehlmann-style BDD sweeping (paper ref [6]) as a fourth engine.
-  bool run_bdd_sweep = true;
 };
 
 struct PortfolioResult {
   Verdict verdict = Verdict::kUndecided;
   std::optional<std::vector<bool>> cex;
-  std::string winner;  ///< "sim+sat", "sat", "bdd", "bdd-sweep", or ""
-                       ///< if every engine came back undecided
+  std::string winner;  ///< "sim+sat", "sat", "bdd", or "" if every
+                       ///< engine came back undecided
   double seconds = 0;
 };
 

@@ -3,14 +3,14 @@
 /// \brief The reusable SAT core of a sweep: one solver + encoder checking
 /// candidate pairs of one miter (DESIGN.md §2.5).
 ///
-/// Both sweepers are built on this class. The sequential SatSweeper keeps
-/// ONE PairSolver alive for the whole run (no substitution map — cones
-/// are encoded verbatim and proved merges are reinforced with equality
-/// clauses only). The parallel sweeper creates one PairSolver per work
-/// chunk, attached to a private SubstitutionMap snapshot, so cones
-/// collapse through everything proved so far and the solver never grows
-/// beyond a chunk's worth of clauses — the determinism unit of the shard
-/// protocol.
+/// Both round schedulers (round_scheduler.hpp) are built on this class.
+/// The sequential scheduler keeps ONE PairSolver alive for the whole run
+/// (no substitution map — cones are encoded verbatim and proved merges
+/// are reinforced with equality clauses only). The chunk scheduler
+/// creates one PairSolver per work chunk, attached to a private
+/// SubstitutionMap snapshot, so cones collapse through everything proved
+/// so far and the solver never grows beyond a chunk's worth of clauses —
+/// the determinism unit of the shard protocol.
 ///
 /// Budget accounting: an equivalence query is split into the two polarity
 /// cases (a&!b, !a&b). The conflict budget covers the WHOLE query: the
@@ -32,7 +32,7 @@ namespace simsweep::sweep {
 class PairSolver {
  public:
   /// `subst` may be null (encode cones verbatim — the sequential
-  /// sweeper's mode). When non-null it must outlive this object; it may
+  /// scheduler's mode). When non-null it must outlive this object; it may
   /// gain merges between calls (chunk-local merging), and this object
   /// must be its only user while alive (resolve() path-compresses).
   explicit PairSolver(const aig::Aig& miter,

@@ -1,0 +1,85 @@
+#pragma once
+/// \file round_scheduler.hpp
+/// \brief The one step of a residue-sweep round that depends on the
+/// thread count: deciding the round's sorted candidate pairs (DESIGN.md
+/// §2.5). Internal to sweep/.
+///
+/// SatSweeper::check_miter owns the round loop: EC init and resume
+/// replay, the barrier that applies outcomes in pair order, refinement,
+/// the checkpoint offer and the final PO proof. A scheduler only decides
+/// pairs, and nothing it does within a round reads the loop's EC marks
+/// or substitution map — the loop changes them only at the barrier.
+/// SweeperParams::num_threads picks one of two schedulers:
+///
+///  - sequential (num_threads <= 1): ONE long-lived PairSolver without a
+///    substitution map — cones are encoded verbatim and every proof is
+///    reinforced with equality clauses at once, so later pairs of the
+///    same round profit from it. Pure SAT: the "ABC &cec" baseline.
+///  - chunked (num_threads > 1): the round's pairs are cut into fixed
+///    chunks of SweeperParams::pairs_per_chunk, claimed off an atomic
+///    ticket by min(num_threads, chunks) shard loops on a staged executor
+///    (a private pool, or SweeperParams::pool). Each chunk is hermetic: a
+///    fresh PairSolver over a private copy of the round-start
+///    substitution map, with simulation-first resolution of small-support
+///    pairs. A chunk's outcomes are a pure function of (miter, round-start
+///    state, chunk pairs), so verdict and counters do not depend on the
+///    thread count or the interleaving.
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "aig/aig.hpp"
+#include "aig/rebuild.hpp"
+#include "sim/ec_manager.hpp"
+#include "sweep/pair_solver.hpp"
+#include "sweep/sat_sweeper.hpp"
+
+namespace simsweep::sweep {
+
+/// Outcome of one candidate pair. A pair the scheduler never attempted
+/// (deadline, cancellation, an inconsistent solver, a failed chunk) stays
+/// kSkipped: the barrier neither counts nor journals it.
+struct PairOutcome {
+  enum class Kind : std::uint8_t { kSkipped, kEqual, kDistinct, kUnknown };
+  Kind kind = Kind::kSkipped;
+  bool via_sim = false;   ///< resolved by exhaustive cone simulation
+  std::vector<bool> cex;  ///< disproving PI assignment, for kDistinct
+};
+
+class RoundScheduler {
+ public:
+  RoundScheduler() = default;
+  RoundScheduler(const RoundScheduler&) = delete;
+  RoundScheduler& operator=(const RoundScheduler&) = delete;
+  virtual ~RoundScheduler() = default;
+
+  /// Re-asserts a merge restored from a resume journal (called before
+  /// the merge enters the loop's substitution map).
+  virtual void replay_merge(aig::Lit repr, aig::Lit node) = 0;
+
+  /// Decides `pairs` (sorted by node id) against the round-start state.
+  /// Returns one outcome per pair, in pair order.
+  virtual std::vector<PairOutcome> decide(
+      const std::vector<sim::CandidatePair>& pairs) = 0;
+
+  /// The solver that proves the POs after the last round, when the
+  /// loop's substitution map holds every merge.
+  virtual PairSolver& po_core() = 0;
+
+  /// Writes the solver work spent so far (sat_calls, conflicts,
+  /// solve_faults) into `stats`.
+  virtual void count_solver_work(SweeperStats& stats) const = 0;
+};
+
+/// `subst` is the loop's substitution map: chunks copy it at round start
+/// and the PO core is attached to it. Shard telemetry (shards, chunks,
+/// steals, the per-shard breakdown) is written to `stats`. Throws
+/// std::bad_alloc when the `sweep.shard_alloc` fault site fires.
+std::unique_ptr<RoundScheduler> make_chunk_scheduler(
+    const aig::Aig& miter, const SweeperParams& params,
+    const aig::SubstitutionMap& subst, SweeperStats& stats,
+    std::function<bool()> out_of_time);
+
+}  // namespace simsweep::sweep

@@ -5,11 +5,17 @@
 #include "aig/rebuild.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
+#include "fault/fault.hpp"
 #include "sim/ec_manager.hpp"
-#include "sweep/pair_solver.hpp"
+#include "sweep/round_scheduler.hpp"
 
 namespace simsweep::sweep {
 
+namespace {
+
+/// Builds the EC-initialization pattern bank of a fresh sweep:
+/// params.sim_words random words extended with the transferred
+/// initial_bank (§V EC transfer) and truncated to max_pattern_words.
 sim::PatternBank make_init_bank(unsigned num_pis,
                                 const SweeperParams& params) {
   sim::PatternBank bank =
@@ -27,34 +33,93 @@ sim::PatternBank make_init_bank(unsigned num_pis,
   return bank;
 }
 
+/// The sequential scheduler (round_scheduler.hpp): one long-lived SAT
+/// core for the whole run. Cones are encoded verbatim (no substitution
+/// map attached) and each proof is reinforced with equality clauses as
+/// soon as it is found, so the solver keeps all learned facts.
+class SequentialScheduler final : public RoundScheduler {
+ public:
+  SequentialScheduler(const aig::Aig& miter, std::int64_t conflict_limit,
+                      std::function<bool()> out_of_time)
+      : conflict_limit_(conflict_limit),
+        out_of_time_(std::move(out_of_time)),
+        core_(miter) {
+    core_.set_interrupt(out_of_time_);
+  }
+
+  void replay_merge(aig::Lit repr, aig::Lit node) override {
+    core_.assert_equal(repr, node);
+  }
+
+  std::vector<PairOutcome> decide(
+      const std::vector<sim::CandidatePair>& pairs) override {
+    std::vector<PairOutcome> outcomes(pairs.size());
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      if (out_of_time_()) break;
+      const aig::Lit lr = aig::make_lit(pairs[p].repr, pairs[p].phase);
+      const aig::Lit ln = aig::make_lit(pairs[p].node);
+      switch (core_.check_pair(lr, ln, conflict_limit_)) {
+        case PairSolver::Outcome::kEqual:
+          outcomes[p].kind = PairOutcome::Kind::kEqual;
+          core_.assert_equal(lr, ln);
+          break;
+        case PairSolver::Outcome::kDistinct:
+          outcomes[p].kind = PairOutcome::Kind::kDistinct;
+          outcomes[p].cex = core_.model_cex();
+          break;
+        case PairSolver::Outcome::kUnknown:
+          outcomes[p].kind = PairOutcome::Kind::kUnknown;
+          break;
+      }
+      if (core_.inconsistent()) break;
+    }
+    return outcomes;
+  }
+
+  PairSolver& po_core() override { return core_; }
+
+  void count_solver_work(SweeperStats& stats) const override {
+    stats.sat_calls = core_.sat_calls();
+    stats.conflicts = core_.conflicts();
+    stats.solve_faults = core_.solve_faults();
+  }
+
+ private:
+  const std::int64_t conflict_limit_;
+  const std::function<bool()> out_of_time_;
+  PairSolver core_;
+};
+
+}  // namespace
+
 SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
   Timer t;
   SweepResult result;
-  auto out_of_time = [&] {
+  SweeperStats& stats = result.stats;
+  const std::function<bool()> out_of_time = [&] {
     if (params_.cancel != nullptr &&
         params_.cancel->load(std::memory_order_relaxed))
       return true;
     return params_.time_limit > 0 && t.seconds() > params_.time_limit;
   };
-
-  // One long-lived SAT core for the whole run: cones are encoded verbatim
-  // (no substitution map attached) and proved merges are reinforced with
-  // equality clauses, so the solver keeps all learned facts.
-  PairSolver core(miter);
-  core.set_interrupt([&] { return out_of_time(); });
-  aig::SubstitutionMap subst(miter.num_nodes());
-
+  std::unique_ptr<RoundScheduler> scheduler;
   auto finish = [&](Verdict v) {
     result.verdict = v;
-    result.stats.sat_calls = core.sat_calls();
-    result.stats.conflicts = core.conflicts();
-    result.stats.solve_faults = core.solve_faults();
-    result.stats.seconds = t.seconds();
+    if (scheduler) scheduler->count_solver_work(stats);
+    stats.seconds = t.seconds();
     return result;
   };
 
   if (aig::miter_disproved(miter)) return finish(Verdict::kNotEquivalent);
   if (aig::miter_proved(miter)) return finish(Verdict::kEquivalent);
+
+  aig::SubstitutionMap subst(miter.num_nodes());
+  const bool chunked = params_.num_threads > 1;
+  if (chunked)
+    scheduler = make_chunk_scheduler(miter, params_, subst, stats, out_of_time);
+  else
+    scheduler = std::make_unique<SequentialScheduler>(
+        miter, params_.conflict_limit, out_of_time);
 
   // EC initialization by partial random simulation, extended with any
   // transferred patterns (§V EC-transfer extension). A resume restores
@@ -76,105 +141,113 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
   unsigned start_round = 0;
   if (resuming) {
     for (const auto& [node, lit] : resume->merges) {
+      scheduler->replay_merge(lit, aig::make_lit(node));
       subst.merge(node, lit);
       ec.mark_proved(node);
-      core.assert_equal(lit, aig::make_lit(node));
     }
     for (aig::Var v : resume->removed) ec.remove_node(v);
     merge_journal = resume->merges;
     removed_nodes = resume->removed;
-    result.stats.pairs_proved = resume->pairs_proved;
-    result.stats.pairs_disproved = resume->pairs_disproved;
-    result.stats.pairs_undecided = resume->pairs_undecided;
+    stats.pairs_proved = resume->pairs_proved;
+    stats.pairs_disproved = resume->pairs_disproved;
+    stats.pairs_undecided = resume->pairs_undecided;
     start_round = resume->next_round;
   }
 
-  // Offers the round-barrier state to the checkpoint hook; swallows hook
-  // exceptions (checkpointing must never change the verdict).
-  auto offer_checkpoint = [&](unsigned next_round) {
-    SweepCheckpointView view;
-    view.miter = &miter;
-    view.next_round = next_round;
-    view.merges = &merge_journal;
-    view.removed = &removed_nodes;
-    view.bank = &bank;
-    SweeperStats stats = result.stats;
-    stats.sat_calls = core.sat_calls();
-    stats.conflicts = core.conflicts();
-    stats.solve_faults = core.solve_faults();
-    view.stats = &stats;
-    try {
-      params_.checkpoint_hook(view);
-    } catch (...) {
-    }
-  };
-
   for (unsigned round = start_round; round < params_.max_rounds; ++round) {
+    if (out_of_time()) return finish(Verdict::kUndecided);
     std::vector<sim::CandidatePair> pairs = ec.candidate_pairs();
     if (pairs.empty()) break;
     // Topological (ascending node id) order: proofs of small cones come
-    // first and their equality clauses help the bigger ones.
+    // first and help the bigger ones. Chunk boundaries depend only on
+    // this order and pairs_per_chunk, never on the thread count.
     std::sort(pairs.begin(), pairs.end(),
               [](const sim::CandidatePair& x, const sim::CandidatePair& y) {
                 return x.node < y.node;
               });
+    const std::vector<PairOutcome> outcomes = scheduler->decide(pairs);
 
+    // Round barrier: apply every attempted outcome in pair order, so EC
+    // state, substitution map and counters evolve the same way for any
+    // thread count and interleaving.
     std::size_t proved = 0;
     sim::CexCollector collector(miter.num_pis());
-    for (const sim::CandidatePair& pair : pairs) {
-      if (out_of_time()) return finish(Verdict::kUndecided);
-      const aig::Lit lr = aig::make_lit(pair.repr, pair.phase);
-      const aig::Lit ln = aig::make_lit(pair.node);
-      switch (core.check_pair(lr, ln, params_.conflict_limit)) {
-        case PairSolver::Outcome::kEqual: {
-          // Equivalent: merge and add equality clauses to the solver.
+    std::vector<std::pair<unsigned, bool>> assignment;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      const sim::CandidatePair& pair = pairs[p];
+      const PairOutcome& outcome = outcomes[p];
+      if (outcome.via_sim) ++stats.pairs_sim_resolved;
+      switch (outcome.kind) {
+        case PairOutcome::Kind::kSkipped:
+          break;
+        case PairOutcome::Kind::kEqual: {
+          // Injection site `sweep.board_merge` (DESIGN.md §2.4): applying
+          // a shard-proved merge is the barrier's structural step; a
+          // failure abandons the sharded attempt (sweep_miter() falls
+          // back to the sequential scheduler, which never reaches it).
+          if (chunked && SIMSWEEP_FAULT_POINT(fault::sites::kSweepBoardMerge))
+            throw fault::FaultError(fault::sites::kSweepBoardMerge);
+          const aig::Lit lr = aig::make_lit(pair.repr, pair.phase);
           subst.merge(pair.node, lr);
           ec.mark_proved(pair.node);
-          core.assert_equal(lr, ln);
           merge_journal.emplace_back(pair.node, lr);
           ++proved;
-          ++result.stats.pairs_proved;
+          ++stats.pairs_proved;
           break;
         }
-        case PairSolver::Outcome::kDistinct: {
-          ++result.stats.pairs_disproved;
-          std::vector<std::pair<unsigned, bool>> assignment;
-          const std::vector<bool> pis = core.model_cex();
-          assignment.reserve(pis.size());
-          for (unsigned i = 0; i < pis.size(); ++i)
-            assignment.emplace_back(i, pis[i]);
+        case PairOutcome::Kind::kDistinct:
+          ++stats.pairs_disproved;
+          assignment.clear();
+          assignment.reserve(outcome.cex.size());
+          for (unsigned i = 0; i < outcome.cex.size(); ++i)
+            assignment.emplace_back(i, outcome.cex[i]);
           collector.add(assignment);
           break;
-        }
-        case PairSolver::Outcome::kUnknown:
-          ++result.stats.pairs_undecided;
+        case PairOutcome::Kind::kUnknown:
+          ++stats.pairs_undecided;
           ec.remove_node(pair.node);  // do not retry within this run
           removed_nodes.push_back(pair.node);
           break;
       }
-      if (core.inconsistent()) break;
     }
-    SIMSWEEP_LOG_INFO("sweep round %u: %zu proved, %zu CEX", round, proved,
-                      collector.num_cexes());
+    SIMSWEEP_LOG_INFO("sweep round %u: %zu pairs, %zu proved, %zu CEX", round,
+                      pairs.size(), proved, collector.num_cexes());
 
+    if (out_of_time()) return finish(Verdict::kUndecided);
     if (collector.empty()) break;
     sim::PatternBank cex_bank(miter.num_pis(), 0);
     collector.flush_into(cex_bank);
     ec.refine(sim::simulate(miter, cex_bank));
     if (params_.checkpoint_hook) {
       // Fold the round's CEX columns into the accumulated bank first so a
-      // snapshot's bank re-derives exactly these refined classes.
+      // snapshot's bank re-derives exactly these refined classes. Hook
+      // exceptions are swallowed: checkpointing must never change the
+      // verdict.
       for (std::size_t w = 0; w < cex_bank.num_words(); ++w) {
         std::vector<sim::Word> column(miter.num_pis());
         for (unsigned pi = 0; pi < miter.num_pis(); ++pi)
           column[pi] = cex_bank.word(pi, w);
         bank.append_words(column);
       }
-      offer_checkpoint(round + 1);
+      SweepCheckpointView view;
+      view.miter = &miter;
+      view.next_round = round + 1;
+      view.merges = &merge_journal;
+      view.removed = &removed_nodes;
+      view.bank = &bank;
+      SweeperStats snap_stats = stats;
+      scheduler->count_solver_work(snap_stats);
+      snap_stats.seconds = t.seconds();
+      view.stats = &snap_stats;
+      try {
+        params_.checkpoint_hook(view);
+      } catch (...) {
+      }
     }
   }
 
   // Final PO proving on the substituted miter.
+  PairSolver& core = scheduler->po_core();
   bool all_proved = true;
   for (aig::Lit po : miter.pos()) {
     if (out_of_time()) return finish(Verdict::kUndecided);

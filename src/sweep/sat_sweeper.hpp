@@ -10,6 +10,12 @@
 /// cheaper); finally the miter POs themselves are proved or refuted by
 /// SAT. The engine hands its reduced, undecided miters to this checker,
 /// mirroring the paper's GPU+ABC integration.
+///
+/// There is one round loop (SatSweeper::check_miter). Only the step that
+/// decides a round's sorted pairs depends on SweeperParams::num_threads:
+/// a long-lived sequential solver or hermetic chunks on shard loops
+/// (round_scheduler.hpp). Outcomes are applied at the round barrier in
+/// pair order either way.
 
 #include <atomic>
 #include <cstdint>
@@ -76,38 +82,32 @@ struct SweeperParams {
   /// Wall-clock budget in seconds; 0 = unbounded. On expiry the checker
   /// returns kUndecided (used by the portfolio).
   double time_limit = 0;
-  /// Shard count of the parallel sweeper (sweep_miter() dispatcher;
-  /// DESIGN.md §2.5). 1 selects the sequential SatSweeper. Values > 1
-  /// partition each round's candidate pairs over that many cooperating
-  /// shard loops on a private staged executor.
+  /// Threads deciding each round's candidate pairs (DESIGN.md §2.5;
+  /// round_scheduler.hpp). 1 selects the sequential scheduler: one
+  /// long-lived solver, pure SAT. Values > 1 select the chunk scheduler:
+  /// hermetic chunks of pairs_per_chunk pairs on that many cooperating
+  /// shard loops. The round loop around either is the same.
   unsigned num_threads = 1;
-  /// Candidate pairs per work chunk of the parallel sweeper. A chunk is
+  /// Candidate pairs per work chunk of the chunk scheduler. A chunk is
   /// the determinism unit: it is checked hermetically against the
   /// round-start state by a fresh solver, so its outcome is independent of
   /// which shard runs it and of the thread count.
   std::size_t pairs_per_chunk = 32;
-  /// Deterministic mode (default): shards exchange proofs and CEX
-  /// patterns only at round barriers, making verdict and merged stats
-  /// bit-identical across thread counts and repeated runs. When false,
-  /// shards additionally poll the shared equivalence board and CEX bank
-  /// at every pair boundary (faster convergence, interleaving-dependent
-  /// stats).
-  bool deterministic = true;
-  /// Simulation-first pair resolution (parallel sweeper only): a
+  /// Simulation-first pair resolution (chunk scheduler only): a
   /// candidate pair whose combined structural support has at most this
   /// many PIs is resolved by exhaustively simulating both cones over
   /// that support window — a complete proof with zero SAT conflicts,
   /// and a pure function of the miter, so the determinism contract is
-  /// unaffected. 0 disables. The sequential SatSweeper ignores this:
-  /// it stays the pure-SAT "ABC &cec" baseline.
+  /// unaffected. 0 disables. The sequential scheduler ignores this: it
+  /// stays the pure-SAT "ABC &cec" baseline.
   unsigned sim_support_limit = 12;
-  /// Shared staged executor for the parallel sweeper (DESIGN.md §2.9).
-  /// Null (the default) keeps the historical behaviour: each parallel
-  /// sweep builds a private pool sized num_threads-1. A batch service
-  /// passes ONE pool here so concurrent jobs contend for a single worker
-  /// set (the pool serializes whole staged jobs) instead of every job
-  /// spawning its own threads and oversubscribing the host. Caller keeps
-  /// the pool alive for the duration of the check.
+  /// Shared staged executor for the chunk scheduler (DESIGN.md §2.9).
+  /// Null (the default) gives each sharded sweep a private pool sized
+  /// num_threads-1. A batch service passes ONE pool here so concurrent
+  /// jobs contend for a single worker set (the pool serializes whole
+  /// staged jobs) instead of every job spawning its own threads and
+  /// oversubscribing the host. Caller keeps the pool alive for the
+  /// duration of the check.
   parallel::ThreadPool* pool = nullptr;
   /// Cooperative cancellation (portfolio use): checked between SAT calls.
   /// Annotation audit: the only cross-thread cell of a sweep — written by
@@ -124,7 +124,7 @@ struct SweeperParams {
 
   // --- Checkpoint/resume (DESIGN.md §2.8). ---
   /// Invoked on the host thread at every round barrier while the sweep is
-  /// still undecided. Exceptions are swallowed by the sweepers: a failed
+  /// still undecided. Exceptions are swallowed by the sweeper: a failed
   /// checkpoint must never change the verdict.
   std::function<void(const SweepCheckpointView&)> checkpoint_hook;
   /// Journal to replay before the first round (takes precedence over
@@ -133,7 +133,7 @@ struct SweeperParams {
   const SweepResumeState* resume = nullptr;
 };
 
-/// Per-shard scheduling telemetry of one parallel sweep. Chunk/steal
+/// Per-shard scheduling telemetry of one sharded sweep. Chunk/steal
 /// counts and busy time depend on worker interleaving, so they are
 /// telemetry only — excluded from the determinism contract below.
 struct ShardStats {
@@ -163,27 +163,23 @@ struct SweeperStats {
 #undef SIMSWEEP_SWEEPER_FIELD
   double seconds = 0;
 
-  // --- Parallel-sweep extras (zero / empty for the sequential sweeper).
+  // --- Chunk-scheduler extras (zero / empty for the sequential one).
   //
-  // Determinism contract (DESIGN.md §2.5): every count above plus
-  // chunks, board_merges, cex_shared and pairs_sim_resolved is a pure
-  // function of the miter and the parameters — identical across
-  // num_threads and across runs in deterministic mode. shards echoes
-  // min(num_threads, chunks of the widest round); steals, pairs_pruned
-  // and the per-shard breakdown are scheduling telemetry and may vary.
+  // Determinism contract (DESIGN.md §2.5): with the chunk scheduler,
+  // every count above plus chunks and pairs_sim_resolved is a pure
+  // function of the miter and the parameters other than num_threads and
+  // pool — identical across thread counts and across runs, unless the
+  // deadline or cancel flag cut the sweep short. shards echoes
+  // min(num_threads, chunks of the widest round); steals and the
+  // per-shard breakdown are scheduling telemetry and may vary.
   // seconds/busy_seconds are wall time.
-  std::size_t shards = 0;        ///< shard loops of the widest round
-  std::size_t chunks = 0;        ///< work chunks across all rounds
-  std::size_t steals = 0;        ///< cross-partition chunk claims
-  std::size_t board_merges = 0;  ///< merges published to the shared board
-  std::size_t cex_shared = 0;    ///< CEX patterns published to the bank
+  std::size_t shards = 0;  ///< shard loops of the widest round
+  std::size_t chunks = 0;  ///< work chunks across all rounds
+  std::size_t steals = 0;  ///< cross-partition chunk claims
   /// Pairs settled by exhaustive cone simulation over their combined
   /// support window (sim_support_limit) instead of SAT.
   std::size_t pairs_sim_resolved = 0;
-  /// Pairs skipped because a concurrently shared CEX already
-  /// distinguished them (opportunistic mode only).
-  std::size_t pairs_pruned = 0;
-  /// Parallel attempts that degraded to the sequential sweeper (fault
+  /// Sharded attempts that degraded to the sequential scheduler (fault
   /// ladder; set by the sweep_miter() dispatcher).
   std::size_t parallel_fallbacks = 0;
   std::vector<ShardStats> shard;
@@ -210,10 +206,5 @@ class SatSweeper {
  private:
   SweeperParams params_;
 };
-
-/// Builds the EC-initialization pattern bank both sweepers start from:
-/// params.sim_words random words extended with the transferred
-/// initial_bank (§V EC transfer) and truncated to max_pattern_words.
-sim::PatternBank make_init_bank(unsigned num_pis, const SweeperParams& params);
 
 }  // namespace simsweep::sweep

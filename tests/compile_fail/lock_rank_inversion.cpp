@@ -3,14 +3,14 @@
 ///        -Werror=thread-safety (the compile-fail pass of
 ///        tools/run_static_analysis.sh asserts exactly that).
 ///
-/// Deliberate inversion of the DESIGN.md §2.6 lock order: `board` is
+/// Deliberate inversion of the DESIGN.md §2.6 lock order: `ckpt` is
 /// acquired while nesting into `executor`, but the rank table says
-/// executor < board. Clang's analysis sees the SIMSWEEP_ACQUIRED_AFTER
+/// executor < ckpt. Clang's analysis sees the SIMSWEEP_ACQUIRED_AFTER
 /// edges on the lock_ranks anchors and rejects this with
 ///
 ///   error: acquiring mutex 'executor' requires negative capability
 ///          '!executor' [-Werror,-Wthread-safety-beta]
-///   ... mutex 'executor' must be acquired before 'board' ...
+///   ... mutex 'executor' must be acquired before 'ckpt' ...
 ///
 /// (exact spelling varies by Clang release; the driver only asserts a
 /// thread-safety diagnostic fired). The runtime twin of this test —
@@ -22,8 +22,8 @@
 namespace simsweep::common {
 
 void inverted_nesting() {
-  Mutex board_mu, executor_mu;
-  RankedMutexLock outer(board_mu, lock_ranks::board);
+  Mutex ckpt_mu, executor_mu;
+  RankedMutexLock outer(ckpt_mu, lock_ranks::ckpt);
   RankedMutexLock inner(executor_mu, lock_ranks::executor);  // ILL-RANKED
 }
 

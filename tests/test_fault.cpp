@@ -461,6 +461,24 @@ TEST(FaultRecovery, BoardMergeFaultDegradesToSequentialSweep) {
   EXPECT_EQ(r.stats.parallel_fallbacks, 1u);
 }
 
+TEST(FaultRecovery, SequentialSweepNeverReachesShardSites) {
+  // Both schedulers share one round loop, but the shard sites belong to
+  // the chunk scheduler alone: a sequential sweep must neither allocate
+  // shard state nor pass the barrier's board_merge site.
+  const aig::Aig a = testutil::random_aig(8, 120, 5, 501);
+  const aig::Aig miter = aig::make_miter(a, opt::resyn_light(a));
+  fault::FaultPlan plan;
+  plan.on_hit(fault::sites::kSweepShardAlloc, 1, /*fires=*/1);
+  plan.on_hit(fault::sites::kSweepBoardMerge, 1, /*fires=*/1);
+  fault::ScopedFaultPlan scoped(plan);
+  const sweep::SweepResult r = sweep::sweep_miter(miter, {});
+  EXPECT_EQ(r.verdict, Verdict::kEquivalent);
+  EXPECT_GT(r.stats.pairs_proved, 0u);
+  EXPECT_EQ(scoped.hits(fault::sites::kSweepShardAlloc), 0u);
+  EXPECT_EQ(scoped.hits(fault::sites::kSweepBoardMerge), 0u);
+  EXPECT_EQ(r.stats.parallel_fallbacks, 0u);
+}
+
 TEST(FaultRecovery, CombinedFlowCountsSweepFaultsInjected) {
   // The combined flow accounts sweep-phase fires as its own
   // faults.injected delta (the engine publishes only its delta), and the

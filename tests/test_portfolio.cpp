@@ -294,8 +294,7 @@ TEST(Portfolio, SubsetOfEnginesStillWorks) {
   PortfolioParams p;
   p.combined = small_combined();
   p.run_combined = false;
-  p.run_sat = false;
-  p.run_bdd_sweep = false;  // only the monolithic BDD engine
+  p.run_sat = false;  // only the BDD engine
   const PortfolioResult r = portfolio_check(a, b, p);
   EXPECT_EQ(r.verdict, Verdict::kEquivalent);
   EXPECT_EQ(r.winner, "bdd");
@@ -310,10 +309,8 @@ TEST(Portfolio, AllUndecidedReportsUndecided) {
   p.run_combined = false;
   p.run_sat = true;
   p.run_bdd = true;
-  p.run_bdd_sweep = true;
   p.sweeper.time_limit = 1e-9;
   p.bdd.node_limit = 8;
-  p.bdd_sweep.manager_limit = 8;
   const PortfolioResult r = portfolio_check(a, b, p);
   EXPECT_EQ(r.verdict, Verdict::kUndecided);
   EXPECT_TRUE(r.winner.empty());

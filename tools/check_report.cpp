@@ -210,8 +210,7 @@ int main(int argc, char** argv) {
   if (!require_leaves(
           shard_json,
           {obs::metric::kSweeperShards, obs::metric::kSweeperChunks,
-           obs::metric::kSweeperSteals, obs::metric::kSweeperBoardMerges,
-           obs::metric::kSweeperCexShared,
+           obs::metric::kSweeperSteals,
            obs::metric::kSweeperPairsSimResolved,
            obs::metric::kSweeperParallelFallbacks,
            std::string(obs::metric::kSweeperShardPrefix) + "0.chunks"},
