@@ -38,6 +38,12 @@
 /// recomputes; the recomputed verdict must match what the cache would
 /// have returned — the cache-soundness drill).
 ///
+/// The residue sweep (DESIGN.md §2.5) adds sweep.cex_replay: one input
+/// bit of the counterexample it is about to return is flipped. If the
+/// flipped assignment no longer fails a PO, the replay on the miter must
+/// catch it: the sweep returns kUndecided, never a counterexample that
+/// does not replay.
+///
 /// Site names are catalogued once, in the X-macro table
 /// src/fault/fault_sites.def (one row per failure class the degradation
 /// ladder handles). Code never spells a site as a raw string: fault

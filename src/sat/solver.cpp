@@ -193,6 +193,11 @@ void Solver::analyze(CRef confl, std::vector<Lit>& out_learnt,
     }
     if (!redundant) minimized.push_back(q);
   }
+  // The trail walk above cleared every current-level mark, so the only
+  // marks left are the lower-level literals of the unminimized clause:
+  // clearing exactly those keeps analyze() O(clause), not O(variables).
+  for (std::size_t i = 1; i < out_learnt.size(); ++i)
+    seen_[var(out_learnt[i])] = 0;
   out_learnt = std::move(minimized);
 
   // Backtrack level: second-highest level in the learnt clause.
@@ -206,10 +211,6 @@ void Solver::analyze(CRef confl, std::vector<Lit>& out_learnt,
     std::swap(out_learnt[1], out_learnt[max_i]);
     out_btlevel = level_[var(out_learnt[1])];
   }
-
-  for (const Lit q : out_learnt) seen_[var(q)] = 0;
-  // seen_ for literals dropped by minimization must also be cleared.
-  std::fill(seen_.begin(), seen_.end(), 0);
 }
 
 void Solver::cancel_until(int level) {

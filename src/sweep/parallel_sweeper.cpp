@@ -98,9 +98,10 @@ class ChunkScheduler final : public RoundScheduler {
 };
 
 // Hermetic chunk processing: a fresh solver over a private copy of the
-// round-start substitution map. The chunk's outcomes are a pure function
-// of (miter, round-start state, chunk pairs) — identical no matter which
-// shard runs it.
+// round-start substitution map, and a CEX word holding the chunk's own
+// counterexamples. The chunk's outcomes are a pure function of (miter,
+// round-start state, chunk pairs) — identical no matter which shard runs
+// it.
 void ChunkScheduler::process_chunk(const std::vector<sim::CandidatePair>& pairs,
                                    std::size_t first, std::size_t last,
                                    std::vector<PairOutcome>& outcomes,
@@ -109,12 +110,18 @@ void ChunkScheduler::process_chunk(const std::vector<sim::CandidatePair>& pairs,
     aig::SubstitutionMap local = subst_;
     PairSolver ps(miter_, &local);
     ps.set_interrupt(out_of_time_);
+    CexWord cexes(miter_);
     for (std::size_t p = first; p < last; ++p) {
       if (out_of_time_()) break;  // remaining pairs stay kSkipped
       const sim::CandidatePair& pair = pairs[p];
       const aig::Lit lr = aig::make_lit(pair.repr, pair.phase);
       const aig::Lit ln = aig::make_lit(pair.node);
       PairOutcome& out = outcomes[p];
+      if (cexes.separates(pair)) {
+        out.kind = PairOutcome::Kind::kDistinct;
+        out.via_cex = true;
+        continue;
+      }
       // Simulation-first resolution (paper §I): when the pair's combined
       // structural support fits in a word-packed window, exhaustively
       // simulating both cones over it is a *complete* proof — no SAT
@@ -147,6 +154,7 @@ void ChunkScheduler::process_chunk(const std::vector<sim::CandidatePair>& pairs,
             out.cex.assign(miter_.num_pis(), false);
             for (std::size_t k = 0; k < window.size(); ++k)
               out.cex[window[k] - 1] = (idx >> k) & 1;
+            cexes.add(out.cex);
           }
           continue;
         }
@@ -160,6 +168,7 @@ void ChunkScheduler::process_chunk(const std::vector<sim::CandidatePair>& pairs,
         case PairSolver::Outcome::kDistinct:
           out.kind = PairOutcome::Kind::kDistinct;
           out.cex = ps.model_cex();
+          cexes.add(out.cex);
           break;
         case PairSolver::Outcome::kUnknown:
           out.kind = PairOutcome::Kind::kUnknown;

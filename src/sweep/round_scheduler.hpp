@@ -24,7 +24,12 @@
 ///    pairs. A chunk's outcomes are a pure function of (miter, round-start
 ///    state, chunk pairs), so verdict and counters do not depend on the
 ///    thread count or the interleaving.
+///
+/// Both resimulate their counterexamples as they go (CexWord): a pair
+/// that a CEX found earlier in the same round (sequential) or chunk
+/// (chunked) already separates is disproved without a SAT call.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -45,7 +50,63 @@ struct PairOutcome {
   enum class Kind : std::uint8_t { kSkipped, kEqual, kDistinct, kUnknown };
   Kind kind = Kind::kSkipped;
   bool via_sim = false;   ///< resolved by exhaustive cone simulation
+  /// kDistinct by an earlier CEX of the same round; `cex` stays empty
+  /// because that CEX already reaches the barrier with its own pair.
+  bool via_cex = false;
   std::vector<bool> cex;  ///< disproving PI assignment, for kDistinct
+};
+
+/// In-round counterexample resimulation: up to 64 counterexamples, one
+/// bit each of a word per PI, simulated over the whole miter. The word
+/// is resimulated lazily, at the first query after a CEX arrived, and
+/// the node values are only allocated once a CEX arrives; the 65th CEX
+/// starts a fresh word. Single-threaded (one per scheduler round or
+/// chunk).
+class CexWord {
+ public:
+  explicit CexWord(const aig::Aig& miter)
+      : miter_(miter), pi_bits_(miter.num_pis(), 0) {}
+
+  void add(const std::vector<bool>& cex) {
+    if (values_.empty()) values_.assign(miter_.num_nodes(), 0);
+    if (count_ == 64) {
+      std::fill(pi_bits_.begin(), pi_bits_.end(), 0);
+      count_ = 0;
+    }
+    for (unsigned i = 0; i < miter_.num_pis(); ++i)
+      if (cex[i]) pi_bits_[i] |= std::uint64_t{1} << count_;
+    ++count_;
+    stale_ = true;
+  }
+
+  /// Whether some CEX held now tells `pair.node` from its representative.
+  bool separates(const sim::CandidatePair& pair) {
+    if (count_ == 0) return false;
+    if (stale_) resimulate();
+    const std::uint64_t held =
+        count_ == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count_) - 1;
+    const std::uint64_t phase = pair.phase ? ~std::uint64_t{0} : 0;
+    return ((values_[pair.repr] ^ phase ^ values_[pair.node]) & held) != 0;
+  }
+
+ private:
+  void resimulate() {
+    for (unsigned i = 0; i < miter_.num_pis(); ++i)
+      values_[i + 1] = pi_bits_[i];
+    const auto value = [&](aig::Lit l) {
+      return aig::lit_compl(l) ? ~values_[aig::lit_var(l)]
+                               : values_[aig::lit_var(l)];
+    };
+    for (aig::Var v = miter_.num_pis() + 1; v < miter_.num_nodes(); ++v)
+      values_[v] = value(miter_.fanin0(v)) & value(miter_.fanin1(v));
+    stale_ = false;
+  }
+
+  const aig::Aig& miter_;
+  std::vector<std::uint64_t> pi_bits_;
+  std::vector<std::uint64_t> values_;  ///< per node; node 0 stays 0
+  unsigned count_ = 0;
+  bool stale_ = false;
 };
 
 class RoundScheduler {
@@ -64,7 +125,7 @@ class RoundScheduler {
   virtual std::vector<PairOutcome> decide(
       const std::vector<sim::CandidatePair>& pairs) = 0;
 
-  /// The solver that proves the POs after the last round, when the
+  /// The solver of the final PO pass, after the last round, when the
   /// loop's substitution map holds every merge.
   virtual PairSolver& po_core() = 0;
 

@@ -11,6 +11,14 @@
 /// SAT. The engine hands its reduced, undecided miters to this checker,
 /// mirroring the paper's GPU+ABC integration.
 ///
+/// Refuting early, as ABC does: before every round a bounded probe
+/// checks each open PO on its own fresh solver (the POs spread over a
+/// pool), so a refutable miter does not wait behind hundreds of internal
+/// proofs for its final PO query. Within a round, every counterexample is
+/// resimulated on the miter at once, and a later pair it already
+/// separates is disproved without a SAT call. Every counterexample is
+/// replayed on the miter before kNotEquivalent is returned.
+///
 /// There is one round loop (SatSweeper::check_miter). Only the step that
 /// decides a round's sorted pairs depends on SweeperParams::num_threads:
 /// a long-lived sequential solver or hermetic chunks on shard loops
@@ -99,13 +107,15 @@ struct SweeperParams {
   /// that support window — a complete proof with zero SAT conflicts,
   /// and a pure function of the miter, so the determinism contract is
   /// unaffected. 0 disables. The sequential scheduler ignores this: it
-  /// stays the pure-SAT "ABC &cec" baseline.
+  /// stays the "ABC &cec" baseline — SAT on every pair, plus the PO
+  /// probes and in-round CEX resimulation that ABC's sweeper also does.
   unsigned sim_support_limit = 12;
-  /// Shared staged executor for the chunk scheduler (DESIGN.md §2.9).
-  /// Null (the default) gives each sharded sweep a private pool sized
-  /// num_threads-1. A batch service passes ONE pool here so concurrent
-  /// jobs contend for a single worker set (the pool serializes whole
-  /// staged jobs) instead of every job spawning its own threads and
+  /// Shared staged executor (DESIGN.md §2.9) for the chunk scheduler and
+  /// the PO probes. Null (the default) gives each sharded sweep a private
+  /// pool sized num_threads-1 and runs the probes on the process-wide
+  /// pool. A batch service passes ONE pool here so concurrent jobs
+  /// contend for a single worker set (the pool serializes whole staged
+  /// jobs) instead of every job spawning its own threads and
   /// oversubscribing the host. Caller keeps the pool alive for the
   /// duration of the check.
   parallel::ThreadPool* pool = nullptr;
@@ -145,17 +155,30 @@ struct ShardStats {
 /// Always-published SweeperStats rows: X(type, field, default, catalog
 /// constant). Each row is the only declaration of its counter: it
 /// generates the struct field and its `sat_sweeper.*` gauge in
-/// portfolio::publish_sweeper_stats(). `solve_faults` counts solve
-/// entries failed by the "sat.solve" injection site (DESIGN.md §2.4);
-/// each is treated exactly like a conflict-limit kUnknown, the sweeper's
-/// native sound failure mode.
+/// portfolio::publish_sweeper_stats(). `sat_calls` and `conflicts` count
+/// pair queries and the final PO pass; the PO probes are counted apart in
+/// `probe_calls` and `probe_conflicts`, over the POs up to the refuting
+/// one (all open POs when none refutes). `pairs_cex_resolved` counts the
+/// disproved pairs that an earlier counterexample of the same round
+/// separated (no SAT call). `solve_faults` counts solve entries failed by
+/// the "sat.solve" injection site (DESIGN.md §2.4), probes included; each
+/// is treated exactly like a conflict-limit kUnknown, the sweeper's
+/// native sound failure mode. `cex_replay_failures` counts
+/// counterexamples that failed their replay on the miter (the sweep then
+/// returns kUndecided instead of kNotEquivalent).
 #define SIMSWEEP_SWEEPER_COUNTERS(X)                                        \
   X(std::size_t, sat_calls, 0, obs::metric::kSweeperSatCalls)               \
   X(std::size_t, pairs_proved, 0, obs::metric::kSweeperPairsProved)         \
   X(std::size_t, pairs_disproved, 0, obs::metric::kSweeperPairsDisproved)   \
   X(std::size_t, pairs_undecided, 0, obs::metric::kSweeperPairsUndecided)   \
   X(std::uint64_t, conflicts, 0, obs::metric::kSweeperConflicts)            \
-  X(std::size_t, solve_faults, 0, obs::metric::kSweeperSolveFaults)
+  X(std::size_t, solve_faults, 0, obs::metric::kSweeperSolveFaults)         \
+  X(std::size_t, probe_calls, 0, obs::metric::kSweeperProbeCalls)           \
+  X(std::uint64_t, probe_conflicts, 0, obs::metric::kSweeperProbeConflicts) \
+  X(std::size_t, pairs_cex_resolved, 0,                                     \
+    obs::metric::kSweeperPairsCexResolved)                                  \
+  X(std::size_t, cex_replay_failures, 0,                                    \
+    obs::metric::kSweeperCexReplayFailures)
 
 struct SweeperStats {
 #define SIMSWEEP_SWEEPER_FIELD(type, field, init, metric) type field = init;
@@ -169,7 +192,9 @@ struct SweeperStats {
   // every count above plus chunks and pairs_sim_resolved is a pure
   // function of the miter and the parameters other than num_threads and
   // pool — identical across thread counts and across runs, unless the
-  // deadline or cancel flag cut the sweep short. shards echoes
+  // deadline or cancel flag cut the sweep short. The probe counters and
+  // the probe's counterexample are deterministic on both schedulers and
+  // do not depend on the pool size. shards echoes
   // min(num_threads, chunks of the widest round); steals and the
   // per-shard breakdown are scheduling telemetry and may vary.
   // seconds/busy_seconds are wall time.
@@ -187,7 +212,8 @@ struct SweeperStats {
 
 struct SweepResult {
   Verdict verdict = Verdict::kUndecided;
-  /// Disproving PI assignment when kNotEquivalent (from the SAT model).
+  /// Disproving PI assignment when kNotEquivalent (from the SAT model),
+  /// replayed on the miter before it is returned.
   std::optional<std::vector<bool>> cex;
   SweeperStats stats;
 };

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "aig/aig_analysis.hpp"
+#include "aig/cex.hpp"
 #include "aig/miter.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "engine/engine.hpp"
@@ -393,6 +394,62 @@ TEST(FaultRecovery, SatSolveFaultsActLikeConflictLimitExhaustion) {
   }
 }
 
+/// A miter that fails on exactly one input, all ones: flipping any bit
+/// of its only counterexample yields an input that does not fail.
+aig::Aig one_minterm_miter(unsigned num_pis) {
+  aig::Aig m(num_pis);
+  aig::Lit all = m.pi_lit(0);
+  for (unsigned i = 1; i < num_pis; ++i) all = m.add_and(all, m.pi_lit(i));
+  m.add_po(all);
+  return m;
+}
+
+TEST(FaultRecovery, CorruptedCounterexampleIsNeverReturned) {
+  // sweep.cex_replay flips input 0 of the counterexample the sweep is
+  // about to return. Here the flipped input no longer fails the miter:
+  // the replay must reject it and the sweep must come back undecided.
+  const aig::Aig m = one_minterm_miter(8);
+  {
+    fault::FaultPlan plan;
+    plan.on_hit(fault::sites::kSweepCexReplay, 1);
+    fault::ScopedFaultPlan scoped(plan);
+    const sweep::SweepResult r = sweep::SatSweeper().check_miter(m);
+    EXPECT_EQ(scoped.fires(fault::sites::kSweepCexReplay), 1u);
+    EXPECT_EQ(r.verdict, Verdict::kUndecided);
+    EXPECT_FALSE(r.cex.has_value());
+    EXPECT_EQ(r.stats.cex_replay_failures, 1u);
+  }
+  // Unfaulted, the same sweep refutes with the one failing input.
+  const sweep::SweepResult clean = sweep::SatSweeper().check_miter(m);
+  ASSERT_EQ(clean.verdict, Verdict::kNotEquivalent);
+  ASSERT_TRUE(clean.cex.has_value());
+  EXPECT_EQ(*clean.cex, std::vector<bool>(8, true));
+  EXPECT_EQ(clean.stats.cex_replay_failures, 0u);
+
+  // Mutated miters, every counterexample corrupted, both schedulers: a
+  // flip may or may not break the counterexample, but whatever the sweep
+  // returns replays.
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    const aig::Aig a = testutil::random_aig(8, 120, 5, seed);
+    const aig::Aig mm = aig::make_miter(a, testutil::mutate(a, seed));
+    for (const unsigned threads : {1u, 2u}) {
+      fault::FaultPlan plan;
+      plan.on_hit(fault::sites::kSweepCexReplay, 1, /*fires=*/0);
+      fault::ScopedFaultPlan scoped(plan);
+      sweep::SweeperParams p;
+      p.num_threads = threads;
+      const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(mm);
+      if (r.verdict == Verdict::kNotEquivalent) {
+        ASSERT_TRUE(r.cex.has_value());
+        EXPECT_GE(aig::find_failing_po(mm, *r.cex), 0) << "seed " << seed;
+      } else if (scoped.fires(fault::sites::kSweepCexReplay) > 0) {
+        EXPECT_EQ(r.verdict, Verdict::kUndecided);
+        EXPECT_EQ(r.stats.cex_replay_failures, 1u);
+      }
+    }
+  }
+}
+
 TEST(FaultRecovery, PoolSpawnFailuresDegradeToFewerWorkers) {
   // All spawns fail: the pool runs every launch inline on the caller.
   {
@@ -538,6 +595,13 @@ TEST(FaultSites, EveryCataloguedSiteSurvivesInjection) {
       const sweep::SweepResult r = sweep::sweep_miter(sat_miter, sp);
       EXPECT_NE(r.verdict, Verdict::kNotEquivalent);
       EXPECT_EQ(r.stats.parallel_fallbacks, 1u);
+    } else if (name == fault::sites::kSweepCexReplay) {
+      // A corrupted counterexample is caught by its replay: the sweep
+      // comes back undecided instead of returning it.
+      const sweep::SweepResult r =
+          sweep::SatSweeper().check_miter(one_minterm_miter(6));
+      EXPECT_EQ(r.verdict, Verdict::kUndecided);
+      EXPECT_EQ(r.stats.cex_replay_failures, 1u);
     } else if (name == fault::sites::kCkptWrite) {
       // A failed durable write leaves the run unaffected; the snapshot
       // stays pending and lands once the plan is spent (DESIGN.md §2.8).

@@ -2,26 +2,37 @@
 /// \brief Sharded residue sweeping tests (DESIGN.md §2.5): determinism
 /// of the chunk scheduler across thread counts and repeated runs, oracle
 /// soundness, dispatcher routing, deadline accounting, and concurrent
-/// sweeps under tsan.
+/// sweeps under tsan. The SweepProbe suite covers refuting early: the PO
+/// probe on pool workers and in-round counterexample resimulation.
 ///
-/// Suite names carry the "ParallelSweep" prefix on purpose: the checked-
-/// executor leg of tools/run_static_analysis.sh selects them by that
-/// regex (together with ThreadPool/StagePlan/Checked).
+/// Suite names carry the "ParallelSweep" and "SweepProbe" prefixes on
+/// purpose: the checked-executor leg of tools/run_static_analysis.sh and
+/// the CI tsan job select them by those regexes (together with
+/// ThreadPool/StagePlan/Checked).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "aig/aig_analysis.hpp"
+#include "aig/cex.hpp"
+#include "fault/fault.hpp"
 #include "gen/arith.hpp"
 #include "gen/suite.hpp"
 #include "opt/refactor.hpp"
+#include "opt/resyn.hpp"
 #include "parallel/thread_pool.hpp"
 #include "portfolio/portfolio.hpp"
+#include "sweep/pair_solver.hpp"
 #include "sweep/parallel_sweeper.hpp"
 #include "test_util.hpp"
 #include "obs/metric_names.hpp"
@@ -35,15 +46,17 @@ using aig::Lit;
 /// The deterministic core of SweeperStats (sat_sweeper.hpp contract):
 /// everything except scheduling telemetry (steals, shard breakdown, wall
 /// times) and the shards config echo.
-using CoreStats = std::tuple<Verdict, std::size_t, std::size_t, std::size_t,
-                             std::size_t, std::uint64_t, std::size_t,
-                             std::size_t, std::size_t>;
+using CoreStats =
+    std::tuple<Verdict, std::size_t, std::size_t, std::size_t, std::size_t,
+               std::uint64_t, std::size_t, std::size_t, std::size_t,
+               std::size_t, std::uint64_t, std::size_t>;
 
 CoreStats core_stats(const sweep::SweepResult& r) {
   const sweep::SweeperStats& s = r.stats;
-  return {r.verdict,       s.sat_calls, s.pairs_proved, s.pairs_disproved,
-          s.pairs_undecided, s.conflicts, s.solve_faults, s.chunks,
-          s.pairs_sim_resolved};
+  return {r.verdict,         s.sat_calls,       s.pairs_proved,
+          s.pairs_disproved, s.pairs_undecided, s.conflicts,
+          s.solve_faults,    s.chunks,          s.pairs_sim_resolved,
+          s.probe_calls,     s.probe_conflicts, s.pairs_cex_resolved};
 }
 
 /// A miter the structural front end cannot solve: array vs Wallace
@@ -113,15 +126,22 @@ TEST(ParallelSweep, SimResolutionSettlesSmallSupportPairsWithoutSat) {
   EXPECT_GT(sat.stats.sat_calls, 0u);
   EXPECT_EQ(sat.stats.pairs_proved, sim.stats.pairs_proved);
 
-  // Inequivalent side: simulation finds the distinguishing minterms and
-  // the reconstructed CEX patterns drive class refinement to a sound
-  // kNotEquivalent.
-  const Aig n = hard_miter(809, /*equivalent=*/false);
+  // Distinct pairs: simulation finds the distinguishing minterms and the
+  // reconstructed CEX patterns drive class refinement to a sound verdict.
+  // A sparse EC init on a 12-PI miter leaves many distinct candidates,
+  // all inside the window. (An inequivalent miter would not do: the PO
+  // probe refutes it before the first pair is decided.)
+  const Aig a = testutil::random_aig(12, 260, 6, 300);
+  const Aig n = aig::make_miter(a, opt::resyn_light(a));
   sweep::SweeperParams q;
   q.num_threads = 2;
+  q.sim_words = 1;
   const sweep::SweepResult r = sweep::SatSweeper(q).check_miter(n);
-  EXPECT_EQ(r.verdict, Verdict::kNotEquivalent);
-  EXPECT_GT(r.stats.pairs_sim_resolved, 0u);
+  EXPECT_EQ(r.verdict, Verdict::kEquivalent);
+  EXPECT_GT(r.stats.pairs_disproved, 0u);
+  EXPECT_EQ(r.stats.pairs_sim_resolved,
+            r.stats.pairs_proved + r.stats.pairs_disproved +
+                r.stats.pairs_undecided - r.stats.pairs_cex_resolved);
 }
 
 TEST(ParallelSweep, ShardTelemetryIsPopulated) {
@@ -345,6 +365,159 @@ TEST(ParallelSweep, ConcurrentSweepsShareNothing) {
   b.join();
   EXPECT_EQ(r1.verdict, Verdict::kEquivalent);
   EXPECT_EQ(r2.verdict, Verdict::kNotEquivalent);
+}
+
+// ---------------------------------------------------------------------------
+// Refuting early: the PO probe and in-round CEX resimulation.
+// ---------------------------------------------------------------------------
+
+/// Table II case `family` at doublings=0 against a one-fanin-flip mutant
+/// of its optimized side: the raw miter, no engine in front.
+Aig mutant_miter(const char* family, std::uint64_t mutant_seed) {
+  const gen::BenchCase c = gen::make_case(family, {.doublings = 0});
+  return aig::make_miter(c.original,
+                         testutil::mutate(c.optimized, mutant_seed));
+}
+
+/// A pool of `size` threads, the calling thread included.
+std::unique_ptr<parallel::ThreadPool> pool_of(unsigned size) {
+  if (size > 1) return std::make_unique<parallel::ThreadPool>(size - 1);
+  // ThreadPool(0) means "size to the host"; a pool whose only worker
+  // fails to spawn runs every launch inline on the caller.
+  fault::FaultPlan plan;
+  plan.on_hit(fault::sites::kPoolSpawn, 1);
+  fault::ScopedFaultPlan scoped(plan);
+  return std::make_unique<parallel::ThreadPool>(1);
+}
+
+TEST(SweepProbe, RefutesMutatedHypWithoutPairQueries) {
+  // Without the probe this mutant's counterexample waited behind
+  // thousands of internal proofs for the final PO query, and the sweep
+  // ran out of a minute. The probe before round 0 finds it.
+  const Aig m = mutant_miter("hyp", 42);
+  const sweep::SweepResult r = sweep::SatSweeper().check_miter(m);
+  ASSERT_EQ(r.verdict, Verdict::kNotEquivalent);
+  EXPECT_EQ(r.stats.sat_calls, 0u);
+  EXPECT_EQ(r.stats.pairs_proved + r.stats.pairs_disproved +
+                r.stats.pairs_undecided,
+            0u);
+  EXPECT_GT(r.stats.probe_calls, 0u);
+  EXPECT_EQ(r.stats.cex_replay_failures, 0u);
+  ASSERT_TRUE(r.cex.has_value());
+  EXPECT_GE(aig::find_failing_po(m, *r.cex), 0);
+}
+
+TEST(SweepProbe, IdenticalAcrossPoolSizesAndRuns) {
+  // Each PO is probed on a fresh solver and only the POs up to the
+  // refuting one are counted, so the verdict, the counterexample and the
+  // probe counters do not depend on the pool or the interleaving.
+  for (const auto& [family, seed] :
+       {std::pair{"hyp", 42}, std::pair{"multiplier", 2}}) {
+    SCOPED_TRACE(family);
+    const Aig m = mutant_miter(family, seed);
+    std::optional<sweep::SweepResult> first;
+    for (const unsigned size : {1u, 2u, 4u}) {
+      const std::unique_ptr<parallel::ThreadPool> pool = pool_of(size);
+      sweep::SweeperParams p;
+      p.pool = pool.get();
+      for (int rep = 0; rep < 2; ++rep) {
+        const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(m);
+        ASSERT_EQ(r.verdict, Verdict::kNotEquivalent);
+        if (!first) {
+          first = r;
+          // The refuting PO is not the first open one: the counters
+          // cover a real prefix of the pass.
+          EXPECT_GT(r.stats.probe_calls, 1u);
+          continue;
+        }
+        EXPECT_EQ(r.cex, first->cex) << "pool " << size << " rep " << rep;
+        EXPECT_EQ(core_stats(r), core_stats(*first))
+            << "pool " << size << " rep " << rep;
+      }
+    }
+  }
+}
+
+TEST(SweepProbe, FreshSolverRefutationIsMonotoneInBudget) {
+  // A fresh solver's search does not depend on its conflict budget,
+  // which only cuts the search off: a budget that refutes a PO still
+  // refutes it when doubled. (A probe on one long-lived solver lacks
+  // this property, which is why every probed PO gets its own.)
+  for (const auto& [family, seed] :
+       {std::pair{"sqrt", 2}, std::pair{"sqrt", 3}, std::pair{"log2", 2},
+        std::pair{"log2", 3}, std::pair{"voter", 2}, std::pair{"voter", 3}}) {
+    const Aig m = mutant_miter(family, seed);
+    const aig::SubstitutionMap none(m.num_nodes());
+    bool any_refuted = false;
+    for (std::size_t po = 0; po < m.num_pos(); ++po) {
+      bool refuted = false;
+      for (std::int64_t budget = 4; budget <= 512; budget *= 2) {
+        aig::SubstitutionMap local = none;
+        sweep::PairSolver ps(m, &local);
+        const bool sat = ps.prove_false(m.pos()[po], budget) ==
+                         sat::Solver::Result::kSat;
+        EXPECT_TRUE(sat || !refuted)
+            << family << "#m" << seed << " PO " << po << " refuted below "
+            << budget << " conflicts but not at " << budget;
+        refuted = refuted || sat;
+      }
+      any_refuted = any_refuted || refuted;
+    }
+    EXPECT_TRUE(any_refuted) << family << "#m" << seed;
+  }
+}
+
+TEST(SweepProbe, SeparatedPairsIssueNoSatQuery) {
+  // Every solve entry passes the sat.solve site, so a plan armed never
+  // to fire counts the SAT queries. At each round barrier the queries so
+  // far are the probed POs plus one per decided pair, except the pairs
+  // that a CEX found earlier in the same round (or chunk) separated.
+  // The miter is equivalent, so no probe refutes and every probed PO
+  // counts; a sparse EC init leaves many distinct candidate pairs.
+  const Aig a = testutil::random_aig(12, 260, 6, 302);
+  const Aig m = aig::make_miter(a, opt::resyn_light(a));
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    fault::FaultPlan plan;
+    plan.on_hit(fault::sites::kSatSolve,
+                std::numeric_limits<std::uint64_t>::max());
+    fault::ScopedFaultPlan scoped(plan);
+    sweep::SweeperParams p;
+    p.sim_words = 1;
+    p.num_threads = threads;
+    p.sim_support_limit = 0;  // every pair goes to SAT or to the CEX word
+    std::size_t separated = 0;
+    p.checkpoint_hook = [&](const sweep::SweepCheckpointView& v) {
+      const sweep::SweeperStats& s = *v.stats;
+      EXPECT_EQ(scoped.hits(fault::sites::kSatSolve),
+                s.probe_calls + s.pairs_proved + s.pairs_disproved +
+                    s.pairs_undecided - s.pairs_cex_resolved)
+          << "before round " << v.next_round;
+      separated = s.pairs_cex_resolved;
+    };
+    const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(m);
+    EXPECT_EQ(r.verdict, Verdict::kEquivalent);
+    EXPECT_GT(separated, 0u);
+  }
+}
+
+TEST(SweepProbe, EquivalentMiterKeepsItsProofs) {
+  // The probe only refutes, and on an equivalent miter it never does: the
+  // merges are those of a sweep without probes or resimulation, which
+  // proved 41 pairs here on every scheduler.
+  const Aig m = hard_miter(2024, /*equivalent=*/true);
+  for (const unsigned sim_limit : {0u, 12u}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      sweep::SweeperParams p;
+      p.sim_support_limit = sim_limit;
+      p.num_threads = threads;
+      const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(m);
+      EXPECT_EQ(r.verdict, Verdict::kEquivalent);
+      EXPECT_EQ(r.stats.pairs_proved, 41u)
+          << "sim_limit=" << sim_limit << " threads=" << threads;
+      EXPECT_GT(r.stats.probe_calls, 0u);
+    }
+  }
 }
 
 }  // namespace

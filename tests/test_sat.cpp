@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "aig/miter.hpp"
+#include "cnf/tseitin.hpp"
 #include "common/random.hpp"
+#include "gen/suite.hpp"
 
 namespace simsweep::sat {
 namespace {
@@ -205,6 +208,58 @@ TEST(Solver, StatsAdvance) {
                  mk_lit(static_cast<Var>(rng.below(6)), rng.flip()));
   s.solve();
   EXPECT_GT(s.propagations + s.decisions, 0u);
+}
+
+struct SearchCounters {
+  Solver::Result result;
+  std::uint64_t conflicts;
+  std::uint64_t decisions;
+  std::uint64_t propagations;
+
+  bool operator==(const SearchCounters&) const = default;
+};
+
+SearchCounters counters(const Solver& s, Solver::Result r) {
+  return {r, s.conflicts, s.decisions, s.propagations};
+}
+
+TEST(Solver, SearchCountersArePinnedOnFixedInstances) {
+  // analyze() clears its scratch marks from the literals it touched
+  // instead of sweeping every variable. The end state is the same, so
+  // the search must not move: the counters below are the ones the
+  // full-sweep implementation produced on the same instances.
+  {
+    // Pigeonhole, 8 pigeons into 7 holes.
+    constexpr int kHoles = 7;
+    Solver s;
+    std::vector<std::vector<Var>> x(kHoles + 1, std::vector<Var>(kHoles));
+    for (auto& row : x)
+      for (Var& v : row) v = s.new_var();
+    for (const auto& row : x) {
+      std::vector<Lit> some_hole;
+      for (const Var v : row) some_hole.push_back(mk_lit(v));
+      s.add_clause(some_hole);
+    }
+    for (int h = 0; h < kHoles; ++h)
+      for (int p = 0; p <= kHoles; ++p)
+        for (int q = p + 1; q <= kHoles; ++q)
+          s.add_clause(mk_lit(x[p][h], true), mk_lit(x[q][h], true));
+    const Solver::Result r = s.solve();
+    EXPECT_EQ(counters(s, r),
+              (SearchCounters{Solver::Result::kUnsat, 4577, 5591, 57949}));
+  }
+  {
+    // A PO cone of a Table II miter: PO 7 of multiplier (original vs
+    // resyn2) is constant false, proved by search.
+    const gen::BenchCase c = gen::make_case("multiplier", {.doublings = 0});
+    const aig::Aig m = aig::make_miter(c.original, c.optimized);
+    ASSERT_GT(m.num_pos(), 7u);
+    Solver s;
+    cnf::TseitinEncoder enc(m, s);
+    const Solver::Result r = s.solve({enc.encode(m.pos()[7])});
+    EXPECT_EQ(counters(s, r),
+              (SearchCounters{Solver::Result::kUnsat, 6230, 7758, 752743}));
+  }
 }
 
 }  // namespace

@@ -207,17 +207,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!check_families(rs.report, "sharded")) return 1;
+  // The refute-early counters (PO probes, in-round CEX resimulation,
+  // counterexample replay) are published by every sweep that ran.
   if (!require_leaves(
           shard_json,
           {obs::metric::kSweeperShards, obs::metric::kSweeperChunks,
            obs::metric::kSweeperSteals,
            obs::metric::kSweeperPairsSimResolved,
            obs::metric::kSweeperParallelFallbacks,
-           std::string(obs::metric::kSweeperShardPrefix) + "0.chunks"},
+           std::string(obs::metric::kSweeperShardPrefix) + "0.chunks",
+           obs::metric::kSweeperProbeCalls,
+           obs::metric::kSweeperProbeConflicts,
+           obs::metric::kSweeperPairsCexResolved,
+           obs::metric::kSweeperCexReplayFailures},
           "sharded"))
     return 1;
   std::printf("check_report: sharded-sweep report carries the "
-              "sat_sweeper shard gauges\n");
+              "sat_sweeper shard and refute-early gauges\n");
 
   // Third flow: the batch job service (DESIGN.md §2.9). Three jobs — the
   // multiplier pair, the same pair again, and an adder pair — through
