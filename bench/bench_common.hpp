@@ -55,9 +55,11 @@ inline double time_budget() {
 }
 
 /// Engine parameters: the paper's values (k_P=32, k_p=k_g=16, k_l=8, C=8)
-/// rescaled to CPU-exhaustive-simulation reach (2^24 patterns one-shot).
+/// rescaled to CPU-exhaustive-simulation reach (2^24 patterns one-shot),
+/// under the full-flow preset (L phases and graduated G) that the paper's
+/// Table II, Fig. 6 and Fig. 7 columns measure.
 inline engine::EngineParams engine_params() {
-  engine::EngineParams p;
+  engine::EngineParams p = engine::full_flow({});
   p.k_P = 24;
   p.k_p = 14;
   p.k_g = 14;

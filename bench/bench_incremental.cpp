@@ -57,9 +57,10 @@ struct JsonRow {
 
 /// Engine shape that forces the repeated-L-phase loop: PO phase off, a
 /// deliberately small k_g so the G phase leaves internal residue, and the
-/// default multi-pass L ladder chewing through it across several phases.
+/// full-flow preset's multi-pass L ladder chewing through it across
+/// several phases.
 engine::EngineParams ab_params(bool incremental) {
-  engine::EngineParams p;
+  engine::EngineParams p = engine::full_flow({});
   p.enable_po_phase = false;
   p.k_P = 12;
   p.k_p = 4;

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
               bench.name.c_str(), miter.num_pis(), miter.num_pos(),
               miter.num_ands());
 
-  engine::EngineParams params;
+  // The full-flow preset: the paper's P, G and repeated L phases.
+  engine::EngineParams params = engine::full_flow({});
   params.k_P = 24;
   params.k_p = 14;
   params.k_g = 14;

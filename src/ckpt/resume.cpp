@@ -54,6 +54,15 @@ std::uint64_t run_fingerprint(const aig::Aig& miter,
   fnv(h, e.k_l);
   fnv(h, e.seed);
   fnv(h, e.sim_words);
+  // The flow: which phases run, how often, and what reaches the sweeper.
+  fnv(h, e.max_local_phases);
+  fnv(h, e.escalate_global);
+  fnv(h, e.k_g_step);
+  fnv(h, e.enable_po_phase);
+  fnv(h, e.enable_global_phase);
+  fnv(h, params.interleave_rewriting);
+  fnv(h, params.max_rewrite_rounds);
+  fnv(h, params.transfer_ec);
   const sweep::SweeperParams& s = params.sweeper;
   fnv(h, s.seed);
   fnv(h, s.sim_words);

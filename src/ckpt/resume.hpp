@@ -36,9 +36,10 @@ namespace simsweep::ckpt {
 
 /// Hash identifying "the same run": the miter structure plus every
 /// parameter that shapes the verdict path (thresholds, seeds, simulation
-/// widths, SAT budgets). A snapshot whose fingerprint differs is rejected
-/// by the load ladder — resuming a different problem or configuration
-/// would void the determinism argument.
+/// widths, the engine flow and its handoff to the sweeper, SAT budgets).
+/// A snapshot whose fingerprint differs is rejected by the load ladder —
+/// resuming a different problem or configuration would void the
+/// determinism argument.
 std::uint64_t run_fingerprint(const aig::Aig& miter,
                               const portfolio::CombinedParams& params);
 

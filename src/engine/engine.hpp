@@ -3,7 +3,7 @@
 /// \brief The simulation-based CEC engine (paper §III, Fig. 1 / Fig. 5).
 ///
 /// The engine proves combinational equivalence by exhaustive simulation
-/// instead of SAT. Its flow (Fig. 5) is:
+/// instead of SAT. The paper's flow (Fig. 5) is:
 ///
 ///   P  — PO checking: prove simulatable miter POs constant-0 directly in
 ///        terms of their global functions (thresholds k_P / k_p);
@@ -14,6 +14,13 @@
 ///   L* — repeated local function checking phases, each consisting of
 ///        three cut-generation/checking passes (Table I criteria), until
 ///        the miter cannot be reduced further.
+///
+/// The default EngineParams run P, then G once, and return: on a CPU the
+/// repeated L phases (and the graduated-G extension) prove the residue's
+/// pairs far more slowly than the SAT residue sweeper does, so the
+/// combined flow hands the P+G residue straight to the sweeper. The whole
+/// Fig. 5 flow — L phases plus graduated-G escalation — is the
+/// full_flow() preset, which the paper's reproduction tables use.
 ///
 /// Proved pairs are merged by the miter manager (AIG rebuild) between
 /// phases. If the miter is not fully reduced the engine returns
@@ -144,7 +151,8 @@ struct EngineParams {
   std::size_t cut_buffer_capacity = std::size_t{1} << 14;  ///< Alg. 2 buffer
   unsigned max_cuts_per_pair = 8;
   unsigned max_global_iters = 16;    ///< CEX-refinement rounds in G
-  unsigned max_local_phases = 4;     ///< cap on repeated L phases
+  /// Cap on repeated L phases (0 = none, the default; full_flow() sets 4).
+  unsigned max_local_phases = 0;
   std::size_t max_pattern_words = 64;  ///< pattern-bank size cap
   std::size_t max_batch_windows = 4096;  ///< windows per exhaustive batch
 
@@ -176,9 +184,9 @@ struct EngineParams {
   /// k_P) and re-run global checking on the reduced miter. SDC-blocked
   /// local pairs often have moderate support unions that one bigger
   /// exhaustive-simulation round settles exactly. This is an extension in
-  /// the spirit of the paper's two-threshold P phase (§III-D); disable
-  /// for a flow that matches Fig. 5 literally.
-  bool escalate_global = true;
+  /// the spirit of the paper's two-threshold P phase (§III-D). Off by
+  /// default; full_flow() turns it on.
+  bool escalate_global = false;
   unsigned k_g_step = 4;
   /// Capture intermediate miters after the P and G phases (paper Fig. 7).
   bool capture_snapshots = false;
@@ -234,6 +242,16 @@ struct EngineParams {
   /// crashed run's equivalence classes from its accumulated patterns.
   const sim::PatternBank* initial_bank = nullptr;
 };
+
+/// The full engine flow: `p` with the repeated L phases (at most four)
+/// and graduated-G escalation switched on. The defaults stop after one G
+/// phase and leave the residue to the SAT sweeper; this preset runs Fig. 5
+/// to its end, as the paper's Table II, Fig. 6 and Fig. 7 columns do.
+inline EngineParams full_flow(EngineParams p) {
+  p.max_local_phases = 4;
+  p.escalate_global = true;
+  return p;
+}
 
 struct EngineStats {
   SIMSWEEP_ENGINE_STATS(SIMSWEEP_STAT_FIELD)

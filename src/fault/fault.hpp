@@ -44,6 +44,11 @@
 /// catch it: the sweep returns kUndecided, never a counterexample that
 /// does not replay.
 ///
+/// The combined flow adds engine.cex_replay, the same drill for an engine
+/// disproof: its counterexample (all-zero for a constant-1 PO) is
+/// corrupted before it is replayed on the input miter, and a failed
+/// replay returns kUndecided.
+///
 /// Site names are catalogued once, in the X-macro table
 /// src/fault/fault_sites.def (one row per failure class the degradation
 /// ladder handles). Code never spells a site as a raw string: fault

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "aig/cex.hpp"
 #include "common/lock_ranks.hpp"
 #include "common/log.hpp"
 #include "common/thread_annotations.hpp"
@@ -157,6 +158,24 @@ CombinedResult combined_check_miter(const aig::Aig& miter,
   result.reduction_percent = er.stats.reduction_percent();
   result.verdict = er.verdict;
   result.cex = std::move(er.cex);
+  if (result.verdict == Verdict::kNotEquivalent) {
+    // An engine disproof is replayed on the input miter before it leaves
+    // the combined flow. A constant-1 PO carries no CEX (any input
+    // refutes it), so it gets the all-zero vector. Injection site
+    // `engine.cex_replay` (DESIGN.md §2.4) corrupts the CEX first, so the
+    // replay's failure path is exercised.
+    if (!result.cex) result.cex.emplace(miter.num_pis(), false);
+    if (miter.num_pis() > 0 &&
+        SIMSWEEP_FAULT_POINT(fault::sites::kEngineCexReplay))
+      result.cex->front().flip();
+    if (aig::find_failing_po(miter, *result.cex) < 0) {
+      SIMSWEEP_LOG_WARN("engine counterexample failed its replay; "
+                        "returning undecided");
+      registry.add(obs::metric::kEngineCexReplayFailures, 1);
+      result.cex.reset();
+      result.verdict = Verdict::kUndecided;
+    }
+  }
 
   if (er.verdict == Verdict::kUndecided &&
       (budget <= 0 || remaining() > 0)) {

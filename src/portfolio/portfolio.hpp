@@ -5,7 +5,11 @@
 /// CombinedChecker reproduces the paper's "Ours (GPU+ABC)" flow: run the
 /// simulation-based engine first; if the miter is reduced but undecided,
 /// hand the residue to the SAT sweeper (paper §IV, Table II columns
-/// "GPU (s)" / "ABC (s)" / "Total (s)").
+/// "GPU (s)" / "ABC (s)" / "Total (s)"). With the default EngineParams
+/// the engine runs P and one G phase, so the sweeper proves what L phases
+/// would; engine::full_flow(params) gives the paper's whole Fig. 5 flow,
+/// as the reproduction tables use. Every kNotEquivalent it returns
+/// carries a counterexample that replays on the input miter.
 ///
 /// PortfolioChecker is the stand-in for the commercial multi-engine tool
 /// (Conformal LEC): it races the combined checker, a standalone SAT

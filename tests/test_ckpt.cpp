@@ -387,34 +387,41 @@ TEST(CkptResume, KilledRunResumesToIdenticalVerdict) {
   // combined flow to completion with every boundary durable; its last
   // snapshot is exactly the state a kill -9 at that boundary would leave
   // behind. Leg 2 resumes from it and must reach the same verdict with
-  // restored (not re-solved) equivalences.
-  CheckpointedParams p;
-  p.combined.engine.enable_po_phase = false;
-  p.combined.engine.k_P = 6;
-  p.combined.engine.k_p = 4;
-  p.combined.engine.k_g = 4;
-  p.combined.engine.k_l = 4;
-  p.combined.engine.memory_words = std::size_t{1} << 16;
-  p.checkpoint_path = temp_path("simsweep_ckpt_resume.ckpt");
-  p.checkpoint_interval = 0;
-  p.resume = true;
+  // restored (not re-solved) equivalences. Both engine flows: the default
+  // one (P, G, then the sweep) and the full-flow preset, whose engine also
+  // passes "L" and "G+" boundaries.
+  for (const bool full : {false, true}) {
+    SCOPED_TRACE(full ? "full flow" : "default flow");
+    CheckpointedParams p;
+    p.combined.engine.enable_po_phase = false;
+    p.combined.engine.k_P = 6;
+    p.combined.engine.k_p = 4;
+    p.combined.engine.k_g = 4;
+    p.combined.engine.k_l = 4;
+    p.combined.engine.memory_words = std::size_t{1} << 16;
+    if (full) p.combined.engine = engine::full_flow(p.combined.engine);
+    p.checkpoint_path = temp_path(full ? "simsweep_ckpt_resume_full.ckpt"
+                                       : "simsweep_ckpt_resume.ckpt");
+    p.checkpoint_interval = 0;
+    p.resume = true;
 
-  const aig::Aig a = gen::array_multiplier(4);
-  const aig::Aig b = gen::wallace_multiplier(4);
+    const aig::Aig a = gen::array_multiplier(4);
+    const aig::Aig b = gen::wallace_multiplier(4);
 
-  const CheckpointedResult leg1 = checked_combined_check(a, b, p);
-  EXPECT_FALSE(leg1.resumed);
-  EXPECT_EQ(leg1.combined.verdict, Verdict::kEquivalent);
-  ASSERT_GT(leg1.checkpoint_writes, 0u);
-  EXPECT_EQ(leg1.combined.report.count(obs::metric::kCkptResumes), 0u);
+    const CheckpointedResult leg1 = checked_combined_check(a, b, p);
+    EXPECT_FALSE(leg1.resumed);
+    EXPECT_EQ(leg1.combined.verdict, Verdict::kEquivalent);
+    ASSERT_GT(leg1.checkpoint_writes, 0u);
+    EXPECT_EQ(leg1.combined.report.count(obs::metric::kCkptResumes), 0u);
 
-  const CheckpointedResult leg2 = checked_combined_check(a, b, p);
-  EXPECT_TRUE(leg2.resumed);
-  EXPECT_EQ(leg2.combined.verdict, leg1.combined.verdict);
-  EXPECT_GT(leg2.pairs_restored, 0u);
-  EXPECT_EQ(leg2.combined.report.count(obs::metric::kCkptResumes), 1u);
-  EXPECT_EQ(leg2.combined.report.count(obs::metric::kCkptPairsRestored),
-            leg2.pairs_restored);
+    const CheckpointedResult leg2 = checked_combined_check(a, b, p);
+    EXPECT_TRUE(leg2.resumed);
+    EXPECT_EQ(leg2.combined.verdict, leg1.combined.verdict);
+    EXPECT_GT(leg2.pairs_restored, 0u);
+    EXPECT_EQ(leg2.combined.report.count(obs::metric::kCkptResumes), 1u);
+    EXPECT_EQ(leg2.combined.report.count(obs::metric::kCkptPairsRestored),
+              leg2.pairs_restored);
+  }
 }
 
 TEST(CkptResume, WrongConfigurationSnapshotIsIgnored) {
@@ -441,6 +448,15 @@ TEST(CkptResume, WrongConfigurationSnapshotIsIgnored) {
   EXPECT_FALSE(leg2.resumed);
   EXPECT_EQ(leg2.combined.verdict, Verdict::kEquivalent);
   EXPECT_GE(leg2.combined.report.count(obs::metric::kCkptLoadRejects), 1u);
+
+  // Same thresholds, a different flow: a snapshot of a run without L
+  // phases must not be resumed by a run with them (or the reverse).
+  CheckpointedParams r = q;
+  r.combined.engine.max_local_phases = q.combined.engine.max_local_phases + 1;
+  const CheckpointedResult leg3 = checked_combined_check(a, b, r);
+  EXPECT_FALSE(leg3.resumed);
+  EXPECT_EQ(leg3.combined.verdict, Verdict::kEquivalent);
+  EXPECT_GE(leg3.combined.report.count(obs::metric::kCkptLoadRejects), 1u);
 }
 
 TEST(CkptResume, CorruptedSnapshotsFallBackToSoundFreshRun) {

@@ -144,7 +144,7 @@ TEST(Engine, LocalPhaseProvesLargeSupportPairs) {
   // bits; local checking must. Keep k_P tiny so P cannot either.
   const Aig a = gen::ripple_adder(12);  // 24 PIs
   const Aig b = opt::balance(a);
-  EngineParams p = small_params();
+  EngineParams p = full_flow(small_params());
   p.k_P = 6;
   p.k_p = 6;
   p.k_g = 6;
@@ -158,7 +158,7 @@ TEST(Engine, UndecidedReturnsReducedSoundMiter) {
   // returns must be equisatisfiable with the original.
   const Aig a = testutil::random_aig(12, 250, 6, 220);
   const Aig b = opt::resyn_light(a);
-  EngineParams p = small_params();
+  EngineParams p = full_flow(small_params());
   p.k_P = 4;
   p.k_p = 3;
   p.k_g = 3;
@@ -217,7 +217,7 @@ TEST(Engine, ReportCountsPhaseWork) {
   // L, rebuilds between phases. The report counters must witness it.
   const Aig a = gen::array_multiplier(4);
   const Aig b = gen::wallace_multiplier(4);
-  EngineParams p = small_params();
+  EngineParams p = full_flow(small_params());
   p.enable_po_phase = false;  // force G and L to do all the work
   p.k_P = 10;                 // escalation ceiling ≥ 8 PIs: still decisive
   p.k_p = 4;

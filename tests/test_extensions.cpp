@@ -107,7 +107,7 @@ TEST(Escalation, ProvesPairsBeyondInitialKg) {
   // k_g; escalation to k_P must still finish the proof without SAT.
   const Aig a = gen::array_multiplier(6);
   const Aig b = gen::wallace_multiplier(6);
-  engine::EngineParams p = small_params();
+  engine::EngineParams p = engine::full_flow(small_params());
   p.enable_po_phase = false;  // force the G/L machinery to do the work
   p.k_g = 4;
   p.k_P = 12;
@@ -118,10 +118,11 @@ TEST(Escalation, ProvesPairsBeyondInitialKg) {
 }
 
 TEST(Escalation, DisabledFlowMatchesPaperFigure5) {
-  // With escalation off, the engine must still be sound, merely weaker.
+  // With escalation off (L phases on), the engine must still be sound,
+  // merely weaker.
   const Aig a = gen::array_multiplier(6);
   const Aig b = gen::wallace_multiplier(6);
-  engine::EngineParams p = small_params();
+  engine::EngineParams p = engine::full_flow(small_params());
   p.enable_po_phase = false;
   p.k_g = 4;
   p.escalate_global = false;
@@ -133,7 +134,7 @@ TEST(Escalation, NotEquivalentStillDetected) {
   const Aig a = gen::array_multiplier(5);
   Aig b = gen::wallace_multiplier(5);
   b.set_po(2, b.add_and(b.po(2), b.pi_lit(0)));
-  engine::EngineParams p = small_params();
+  engine::EngineParams p = engine::full_flow(small_params());
   p.k_g = 4;
   p.escalate_global = true;
   const engine::EngineResult r = engine::SimCecEngine(p).check(a, b);

@@ -213,9 +213,10 @@ TEST(Governor, DeadlineSemantics) {
 // ---------------------------------------------------------------------------
 
 /// Engine configuration that pushes an equivalent multiplier pair through
-/// the G and L phases (same shape as the obs end-to-end test).
+/// the G and L phases (same shape as the obs end-to-end test): the
+/// full-flow preset, so the cut-pass sites are on the path.
 engine::EngineParams small_engine() {
-  engine::EngineParams p;
+  engine::EngineParams p = engine::full_flow({});
   p.enable_po_phase = false;
   p.k_P = 10;
   p.k_p = 4;
@@ -450,6 +451,73 @@ TEST(FaultRecovery, CorruptedCounterexampleIsNeverReturned) {
   }
 }
 
+TEST(FaultRecovery, CorruptedEngineCounterexampleIsNeverReturned) {
+  // engine.cex_replay flips input 0 of an engine disproof before the
+  // combined flow replays it on the input miter. The engine refutes the
+  // one-minterm miter in its P phase; the flipped input does not fail,
+  // so the combined flow must come back undecided, without a sweep.
+  const aig::Aig m = one_minterm_miter(8);
+  {
+    fault::FaultPlan plan;
+    plan.on_hit(fault::sites::kEngineCexReplay, 1);
+    fault::ScopedFaultPlan scoped(plan);
+    const portfolio::CombinedResult r = portfolio::combined_check_miter(m);
+    EXPECT_EQ(scoped.fires(fault::sites::kEngineCexReplay), 1u);
+    EXPECT_EQ(r.verdict, Verdict::kUndecided);
+    EXPECT_FALSE(r.cex.has_value());
+    EXPECT_FALSE(r.used_sat);
+    EXPECT_EQ(r.report.count(obs::metric::kEngineCexReplayFailures), 1u);
+  }
+  // Unfaulted, the engine's own counterexample is returned.
+  const portfolio::CombinedResult clean = portfolio::combined_check_miter(m);
+  ASSERT_EQ(clean.verdict, Verdict::kNotEquivalent);
+  EXPECT_FALSE(clean.used_sat);
+  ASSERT_TRUE(clean.cex.has_value());
+  EXPECT_EQ(*clean.cex, std::vector<bool>(8, true));
+  EXPECT_EQ(clean.report.count(obs::metric::kEngineCexReplayFailures), 0u);
+
+  // A constant-1 PO gets the all-zero vector. Any input refutes it, so
+  // even the corrupted vector replays and is returned.
+  aig::Aig one(3);
+  one.add_po(aig::kLitTrue);
+  const portfolio::CombinedResult c1 = portfolio::combined_check_miter(one);
+  ASSERT_EQ(c1.verdict, Verdict::kNotEquivalent);
+  ASSERT_TRUE(c1.cex.has_value());
+  EXPECT_EQ(*c1.cex, std::vector<bool>(3, false));
+  {
+    fault::FaultPlan plan;
+    plan.on_hit(fault::sites::kEngineCexReplay, 1);
+    fault::ScopedFaultPlan scoped(plan);
+    const portfolio::CombinedResult r = portfolio::combined_check_miter(one);
+    EXPECT_EQ(scoped.fires(fault::sites::kEngineCexReplay), 1u);
+    ASSERT_EQ(r.verdict, Verdict::kNotEquivalent);
+    ASSERT_TRUE(r.cex.has_value());
+    EXPECT_EQ(*r.cex, (std::vector<bool>{true, false, false}));
+  }
+
+  // Mutated miters, every engine counterexample corrupted, both flows:
+  // whatever the combined flow returns replays on its input miter.
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    const aig::Aig a = testutil::random_aig(8, 120, 5, seed);
+    const aig::Aig mm = aig::make_miter(a, testutil::mutate(a, seed));
+    for (const bool full : {false, true}) {
+      fault::FaultPlan plan;
+      plan.on_hit(fault::sites::kEngineCexReplay, 1, /*fires=*/0);
+      fault::ScopedFaultPlan scoped(plan);
+      portfolio::CombinedParams p;
+      if (full) p.engine = engine::full_flow(p.engine);
+      const portfolio::CombinedResult r = portfolio::combined_check_miter(mm, p);
+      if (r.verdict == Verdict::kNotEquivalent) {
+        ASSERT_TRUE(r.cex.has_value());
+        EXPECT_GE(aig::find_failing_po(mm, *r.cex), 0) << "seed " << seed;
+      } else if (scoped.fires(fault::sites::kEngineCexReplay) > 0) {
+        EXPECT_EQ(r.verdict, Verdict::kUndecided);
+        EXPECT_EQ(r.report.count(obs::metric::kEngineCexReplayFailures), 1u);
+      }
+    }
+  }
+}
+
 TEST(FaultRecovery, PoolSpawnFailuresDegradeToFewerWorkers) {
   // All spawns fail: the pool runs every launch inline on the caller.
   {
@@ -602,6 +670,12 @@ TEST(FaultSites, EveryCataloguedSiteSurvivesInjection) {
           sweep::SatSweeper().check_miter(one_minterm_miter(6));
       EXPECT_EQ(r.verdict, Verdict::kUndecided);
       EXPECT_EQ(r.stats.cex_replay_failures, 1u);
+    } else if (name == fault::sites::kEngineCexReplay) {
+      // The same drill for an engine disproof leaving the combined flow.
+      const portfolio::CombinedResult r =
+          portfolio::combined_check_miter(one_minterm_miter(6));
+      EXPECT_EQ(r.verdict, Verdict::kUndecided);
+      EXPECT_EQ(r.report.count(obs::metric::kEngineCexReplayFailures), 1u);
     } else if (name == fault::sites::kCkptWrite) {
       // A failed durable write leaves the run unaffected; the snapshot
       // stays pending and lands once the plan is spent (DESIGN.md §2.8).

@@ -359,6 +359,7 @@ TEST(IncrementalSimFault, EngineSurvivesCarryoverFaultWithSoundVerdict) {
   p.k_g = 5;
   p.k_l = 6;
   p.memory_words = 1 << 16;
+  p = engine::full_flow(p);  // L phases: carry-over across many syncs
   fault::FaultPlan plan;
   plan.on_hit(fault::sites::kSimCarryover, 1, /*fires=*/2);
   fault::ScopedFaultPlan scoped(plan);
@@ -385,6 +386,7 @@ TEST(IncrementalSimEngine, AbLeverProducesIdenticalVerdicts) {
   p.k_g = 5;
   p.k_l = 6;
   p.memory_words = 1 << 16;
+  p = engine::full_flow(p);  // a multi-phase run
   engine::EngineParams p_off = p;
   p_off.incremental_sim = false;
   const engine::EngineResult on = engine::SimCecEngine(p).check(a, b);

@@ -99,12 +99,12 @@ TEST(Integration, AigerRoundTripThroughEngine) {
 }
 
 TEST(Integration, ReducedMiterHandoffMatchesPaperFlow) {
-  // Reproduce the paper's GPU->ABC handoff explicitly: run the engine
-  // with snapshots, then SAT-sweep the final reduced miter.
+  // Reproduce the paper's GPU->ABC handoff explicitly: run the full
+  // engine flow with snapshots, then SAT-sweep the final reduced miter.
   gen::SuiteParams sp;
   sp.doublings = 1;
   const gen::BenchCase c = gen::make_case("sqrt", sp);
-  engine::EngineParams ep = integration_params().engine;
+  engine::EngineParams ep = engine::full_flow(integration_params().engine);
   ep.capture_snapshots = true;
   const engine::SimCecEngine eng(ep);
   const engine::EngineResult er =

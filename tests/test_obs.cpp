@@ -258,7 +258,7 @@ TEST(ObsReport, EngineRunEmitsValidReport) {
   // report_schema ctest checks on the cec_tool demo flow).
   const aig::Aig a = gen::array_multiplier(4);
   const aig::Aig b = gen::wallace_multiplier(4);
-  engine::EngineParams p;
+  engine::EngineParams p = engine::full_flow({});
   p.enable_po_phase = false;  // G and L do all the work
   p.k_P = 10;                 // escalation ceiling ≥ 8 PIs: still decisive
   p.k_p = 4;

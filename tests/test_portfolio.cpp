@@ -48,6 +48,7 @@ TEST(Combined, SatFinishesWhatEngineLeaves) {
   if (aig::miter_proved(aig::make_miter(a, b)))
     GTEST_SKIP() << "strash solved it";
   CombinedParams p = small_combined();
+  p.engine = engine::full_flow(p.engine);
   p.engine.k_P = 4;
   p.engine.k_p = 3;
   p.engine.k_g = 3;

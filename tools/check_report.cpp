@@ -1,12 +1,13 @@
 /// \file check_report.cpp
 /// \brief Schema validator for the run report (`report_schema` ctest).
 ///
-/// Runs the same flow as `cec_tool --demo` (multiplier pair, CPU-rescaled
-/// engine parameters), writes the run report to argv[1], reads it back
-/// and validates it against schema simsweep.run_report.v3 — including the
-/// acceptance contract that all five paper-module sections carry nonzero
-/// counters and that the robustness (`faults`, `degrade`, DESIGN.md §2.4)
-/// and checkpoint-durability (`ckpt`, `supervisor`, §2.8) sections are
+/// Runs `cec_tool --demo`'s multiplier pair (CPU-rescaled engine
+/// parameters) under the full-flow preset (engine::full_flow), writes the
+/// run report to argv[1], reads it back and validates it against schema
+/// simsweep.run_report.v3 — including the acceptance contract that all
+/// five paper-module sections carry nonzero counters and that the
+/// robustness (`faults`, `degrade`, DESIGN.md §2.4) and
+/// checkpoint-durability (`ckpt`, `supervisor`, §2.8) sections are
 /// present with their expected leaves. A second (sharded-sweep) and third
 /// (batch-service, DESIGN.md §2.9) flow validate the sat_sweeper shard
 /// gauges and the per-job/aggregate service reports. Leaves are checked
@@ -109,7 +110,10 @@ int main(int argc, char** argv) {
   }
   const std::string path = argv[1];
 
-  // The demo flow of cec_tool: a pair that exercises all five modules.
+  // The demo pair of cec_tool under the full engine flow, whose L phases
+  // exercise the cut module: together the phases publish all five
+  // module sections. (The default flow stops after G and runs no cut
+  // enumeration.)
   gen::SuiteParams sp;
   sp.doublings = 1;
   const gen::BenchCase c = gen::make_case("multiplier", sp);
@@ -117,6 +121,7 @@ int main(int argc, char** argv) {
   params.engine.k_P = 24;
   params.engine.k_p = 14;
   params.engine.k_g = 14;
+  params.engine = engine::full_flow(params.engine);
   const portfolio::CombinedResult r =
       portfolio::combined_check(c.original, c.optimized, params);
   std::printf("check_report: verdict %s in %.3fs, %zu metrics\n",
@@ -182,7 +187,8 @@ int main(int argc, char** argv) {
   // — the demo report above, whose sweep is sequential, is the shape
   // without them. k_P below the PI count keeps the P phase from solving
   // the POs outright, so the engine publishes every module section yet
-  // still hands a nonempty residue to the sharded sweep.
+  // still hands a nonempty residue to the sharded sweep; the full-flow
+  // preset's L phases publish the cut section.
   const aig::Aig small_a = gen::array_multiplier(4);
   const aig::Aig small_b = gen::wallace_multiplier(4);
   portfolio::CombinedParams shard_params;
@@ -192,6 +198,7 @@ int main(int argc, char** argv) {
   shard_params.engine.k_g = 4;
   shard_params.engine.k_l = 4;
   shard_params.engine.memory_words = 1 << 16;
+  shard_params.engine = engine::full_flow(shard_params.engine);
   shard_params.sweeper.num_threads = 2;
   shard_params.sweeper.pairs_per_chunk = 4;
   const portfolio::CombinedResult rs =
