@@ -4,9 +4,9 @@
 /// decomposition) and window merging.
 ///
 /// Besides the google-benchmark suite, the binary has a JSON emitter mode
-/// (`--json FILE [--smoke]`) that measures the two canonical parallelism
-/// shapes of paper Fig. 3 — many small windows (window-dimension
-/// parallelism) and few large windows (level-batch dimension) — and writes
+/// (`--json FILE [--smoke]`) that measures the two canonical batch shapes
+/// of paper Fig. 3 — many small windows (one tile each) and few large
+/// windows (thousands of word-range tiles each) — and writes
 /// words-simulated/sec plus wall time per config, so the perf trajectory of
 /// the simulator is tracked in CI (`ctest -L bench`, target `bench_smoke`).
 
@@ -60,7 +60,7 @@ std::vector<window::Window> po_windows(const aig::Aig& miter,
 }
 
 /// `copies` independent XOR-tree circuits over `width` PIs each: the
-/// many-small-windows shape (third parallelism dimension of paper Fig. 3).
+/// many-small-windows shape (window dimension of paper Fig. 3).
 aig::Aig xor_forest(unsigned copies, unsigned width) {
   aig::Aig a(copies * width);
   for (unsigned c = 0; c < copies; ++c) {
@@ -135,8 +135,8 @@ void BM_WindowMerging(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowMerging)->Arg(0)->Arg(1);
 
-/// Batch growth: many independent small windows (third parallelism
-/// dimension of paper Fig. 3).
+/// Batch growth: many independent small windows (window dimension of
+/// paper Fig. 3).
 void BM_ExhaustiveBatchSize(benchmark::State& state) {
   const unsigned copies = static_cast<unsigned>(state.range(0));
   const aig::Aig a = xor_forest(copies, 8);
@@ -163,6 +163,7 @@ struct JsonRow {
   double words_per_sec = 0.0;
   std::size_t rounds = 0;
   std::size_t entry_words = 0;
+  std::size_t lanes = 0;
   /// Simulator counters accumulated over the timed reps (obs registry
   /// snapshot; publishing happens at batch end, outside the hot loops, so
   /// the overhead contract of DESIGN.md §2.3 keeps the numbers honest).
@@ -189,6 +190,7 @@ JsonRow measure(const char* name, const aig::Aig& a,
     row.words_simulated += r.words_simulated;
     row.rounds = r.rounds;
     row.entry_words = r.entry_words;
+    row.lanes = r.lanes;
     ++row.reps;
     elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)
@@ -204,9 +206,8 @@ JsonRow measure(const char* name, const aig::Aig& a,
 int run_json(const char* path, bool smoke) {
   std::vector<JsonRow> rows;
 
-  // Config 1: many small windows. 128 independent 10-input XOR trees; the
-  // adaptive simulator should pick window-dimension parallelism (each
-  // worker sweeps whole windows serially, zero cross-window barriers).
+  // Config 1: many small windows. 128 independent 10-input XOR trees, one
+  // tile each; the batch is small enough to run as one lane inline.
   {
     const aig::Aig a = xor_forest(128, 10);
     const auto windows = xor_forest_windows(a, 10);
@@ -215,9 +216,8 @@ int run_json(const char* path, bool smoke) {
   }
 
   // Config 2: few large windows. PO checks of a 9-bit ripple-vs-Kogge-Stone
-  // adder miter: ~11 windows with up to 19 inputs (8192-word tables) and
-  // deep level structure — the level-batch parallelism dimension, decomposed
-  // into multiple rounds by the memory cap.
+  // adder miter: ~11 windows with up to 19 inputs (8192-word tables), cut
+  // into word-range tiles by the cache clamp and swept by every lane.
   {
     const aig::Aig m = aig::make_miter(gen::ripple_adder(9),
                                        gen::kogge_stone_adder(9));
@@ -241,9 +241,10 @@ int run_json(const char* path, bool smoke) {
                  "    {\"name\": \"%s\", \"windows\": %zu, \"reps\": %zu, "
                  "\"wall_seconds\": %.6f, \"words_simulated\": %zu, "
                  "\"words_per_sec\": %.3e, \"rounds\": %zu, "
-                 "\"entry_words\": %zu,\n     \"obs\": {",
+                 "\"entry_words\": %zu, \"lanes\": %zu,\n     \"obs\": {",
                  r.name.c_str(), r.windows, r.reps, r.wall_seconds,
-                 r.words_simulated, r.words_per_sec, r.rounds, r.entry_words);
+                 r.words_simulated, r.words_per_sec, r.rounds, r.entry_words,
+                 r.lanes);
     // Simulator counters with flat dotted keys, next to the perf metric.
     for (std::size_t m = 0; m < r.obs.metrics.size(); ++m) {
       const obs::Metric& metric = r.obs.metrics[m];

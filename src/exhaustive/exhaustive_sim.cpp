@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <memory>
 #include <new>
 #include <optional>
 
@@ -21,11 +22,40 @@ namespace {
 using window::Window;
 using window::kSlotConst0;
 
-/// Per-window constant state for the batch.
-struct WinState {
-  std::size_t base = 0;      ///< first slot index in the simulation table
-  std::size_t tt_words = 0;  ///< full truth-table length in words
-  bool alive = true;         ///< still has undecided items
+/// Batches whose total work Σ nodes × tt_words stays below this many
+/// node-words run as one lane inline on the calling thread. A launch on
+/// the shared pool costs a submission handshake (and, with concurrent
+/// callers such as the batch service's clients, a wait on the pool's
+/// submit mutex) that small batches cannot amortize.
+constexpr std::size_t kInlineNodeWords = std::size_t{1} << 18;
+
+/// "No mismatch found yet" in the per-item lowest-mismatch cells.
+constexpr std::uint64_t kNoMismatch = ~std::uint64_t{0};
+
+/// Largest entry size E (a power of two, at most max_tt) such that `lanes`
+/// private tables of `slots` rows each fit the memory budget M, clamped
+/// to the cache budget. Sets *clamped when the cache clamp bound E.
+std::size_t entry_size(std::size_t lanes, std::size_t slots,
+                       std::size_t max_tt, const Params& params,
+                       bool* clamped) {
+  const std::size_t lane_rows = lanes * slots;
+  std::size_t entry = 1;
+  while (entry * 2 * lane_rows <= params.memory_words && entry * 2 <= max_tt)
+    entry *= 2;
+  *clamped = false;
+  if (params.cache_words != 0)
+    while (entry > 1 && entry * lane_rows > params.cache_words) {
+      entry /= 2;
+      *clamped = true;
+    }
+  return entry;
+}
+
+/// Per-lane telemetry, padded so lanes never share a cache line.
+struct alignas(64) LaneTotals {
+  std::size_t tiles = 0;
+  std::size_t words = 0;
+  std::size_t rounds = 0;  ///< highest executed round + 1
 };
 
 /// Simulates one window node into its slot row (word-dimension kernel).
@@ -91,36 +121,41 @@ BatchResult check_batch(const aig::Aig& aig,
   BatchResult result;
   if (windows.empty()) return result;
 
-  // --- Alg. 1 lines 1-4: slot bases, entry size E, round count. ---
-  std::vector<WinState> state(windows.size());
-  std::size_t num_slots = 0;
+  // --- Batch shape: tile and item offsets per window. ---
+  std::vector<std::size_t> item_base(windows.size() + 1, 0);
+  std::size_t max_slots = 1;
   std::size_t max_tt = 0;
-  std::size_t num_items = 0;
-  std::size_t total_nodes = 0;
-  std::size_t max_win_nodes = 0;
+  std::size_t node_words = 0;
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    state[i].base = num_slots;
-    state[i].tt_words = windows[i].tt_words();
-    num_slots += windows[i].num_slots();
-    max_tt = std::max(max_tt, state[i].tt_words);
-    num_items += windows[i].items.size();
-    total_nodes += windows[i].nodes.size();
-    max_win_nodes = std::max(max_win_nodes, windows[i].nodes.size());
+    item_base[i + 1] = item_base[i] + windows[i].items.size();
+    max_slots = std::max(max_slots, windows[i].num_slots());
+    max_tt = std::max(max_tt, windows[i].tt_words());
+    node_words += windows[i].nodes.size() * windows[i].tt_words();
   }
-  std::size_t entry = 1;
-  while (entry * 2 * num_slots <= params.memory_words && entry * 2 <= max_tt)
-    entry *= 2;
-  // Cache-residency clamp: a smaller table swept in more rounds beats a
-  // DRAM-resident one (pure perf; the outcomes are round-independent).
+  const std::size_t num_items = item_base.back();
+
+  // --- Alg. 1 lines 1-4 per lane: every lane owns a private table of
+  // max_slots rows of E words, and all lanes together fit M (never more
+  // lanes than M holds at E = 1) and the cache clamp. Lanes beyond the
+  // tile count would only shrink E for nothing, so drop them and re-derive
+  // E until the two agree. ---
+  parallel::ThreadPool& pool = parallel::ThreadPool::global();
+  std::size_t lanes = node_words < kInlineNodeWords ? 1 : pool.concurrency();
+  lanes = std::clamp<std::size_t>(params.memory_words / max_slots, 1, lanes);
   bool cache_clamped = false;
-  if (params.cache_words != 0)
-    while (entry > 1 && entry * num_slots > params.cache_words) {
-      entry /= 2;
-      cache_clamped = true;
-    }
-  const std::size_t E = entry;
-  const std::size_t rounds = (max_tt + E - 1) / E;
+  std::size_t E = 1;
+  std::vector<std::size_t> tile_base(windows.size() + 1, 0);
+  for (;;) {
+    E = entry_size(lanes, max_slots, max_tt, params, &cache_clamped);
+    for (std::size_t i = 0; i < windows.size(); ++i)
+      tile_base[i + 1] = tile_base[i] + (windows[i].tt_words() + E - 1) / E;
+    if (tile_base.back() >= lanes) break;
+    lanes = tile_base.back();
+  }
+  const std::size_t num_tiles = tile_base.back();
+  const std::size_t lane_words = max_slots * E;
   result.entry_words = E;
+  result.lanes = lanes;
 
   // Publish once per batch (all exits): hot loops never touch the sink.
   const auto publish = [&] {
@@ -131,8 +166,8 @@ BatchResult check_batch(const aig::Aig& aig,
     r.add(obs::metric::kExhaustiveItems, num_items);
     r.add(obs::metric::kExhaustiveRounds, result.rounds);
     r.add(obs::metric::kExhaustiveWordsSimulated, result.words_simulated);
-    r.add(result.window_parallel ? obs::metric::kExhaustiveWindowParallelBatches
-                                 : obs::metric::kExhaustiveLevelStagedBatches);
+    r.add(obs::metric::kExhaustiveTiles, result.tiles);
+    if (lanes > 1) r.add(obs::metric::kExhaustiveLaneBatches);
     if (cache_clamped) r.add(obs::metric::kExhaustiveCacheClampedBatches);
     // Rounds beyond the first exist only because the memory/cache cap
     // forced the table to be swept in slices (Alg. 1 line 2).
@@ -144,97 +179,36 @@ BatchResult check_batch(const aig::Aig& aig,
   };
 
   // --- Resource-governed table allocation (DESIGN.md §2.4). This is THE
-  // allocation Alg. 1's budget is about; a ledger denial or a bad_alloc
-  // here is a recoverable batch failure the caller's degradation ladder
-  // answers by shrinking M — never a crash. Host thread only, so the
-  // injected bad_alloc is catchable right here. ---
+  // allocation Alg. 1's budget is about: one lease charges every lane's
+  // table. A ledger denial or a bad_alloc here is a recoverable batch
+  // failure the caller's degradation ladder answers by shrinking M — never
+  // a crash. Host thread only, so the injected bad_alloc is catchable
+  // right here; the table is left uninitialized (every tile writes each
+  // row before reading it). ---
   fault::MemoryLease lease(params.ledger,
-                           num_slots * E * sizeof(std::uint64_t));
+                           lanes * lane_words * sizeof(std::uint64_t));
   if (!lease.ok()) {
     result.failure = BatchFailure::kMemoryBudget;
     publish();
     return result;
   }
-  std::vector<std::uint64_t> simt;
+  std::unique_ptr<std::uint64_t[]> simt;
   try {
     if (SIMSWEEP_FAULT_POINT(fault::sites::kExhaustiveSimtAlloc)) throw std::bad_alloc{};
-    simt.resize(num_slots * E);
+    simt = std::make_unique_for_overwrite<std::uint64_t[]>(lanes * lane_words);
   } catch (const std::bad_alloc&) {
     result.failure = BatchFailure::kAlloc;
     publish();
     return result;
   }
 
-  // Undecided-item bookkeeping. Items are identified by (window, index).
-  //
-  // Concurrency contract for the shared arrays below (state / decided /
-  // mismatch_bit / simt): pool workers touch them only at window
-  // granularity — compare_window(wi) is the sole writer of state[wi],
-  // decided[wi] and mismatch_bit[wi], and each window's slot rows in simt
-  // are disjoint — so concurrent workers never alias. Cross-stage reads
-  // (a level kernel reading state[wi].alive written by the previous
-  // round's compare) are ordered by the executor's stage barriers and by
-  // run_stages() returning before the host mutates round state.
-  std::vector<std::vector<std::uint8_t>> decided(windows.size());
-  for (std::size_t i = 0; i < windows.size(); ++i)
-    decided[i].assign(windows[i].items.size(), 0);
+  // Lowest mismatching global bit per item (kNoMismatch while none). Lanes
+  // lower it with an atomic minimum, so it ends as exactly what a serial
+  // sweep of the rounds in order reports: the first mismatching round's
+  // lowest bit.
+  std::vector<std::atomic<std::uint64_t>> first_bad(num_items);
+  for (auto& cell : first_bad) cell.store(kNoMismatch, std::memory_order_relaxed);
 
-  // First mismatching global bit per disproved item (for CEX extraction).
-  std::vector<std::vector<std::uint64_t>> mismatch_bit(windows.size());
-  for (std::size_t i = 0; i < windows.size(); ++i)
-    mismatch_bit[i].assign(windows[i].items.size(), 0);
-
-  // --- Parallelism-dimension choice (paper Fig. 3, adaptive). ---
-  parallel::ThreadPool& pool = parallel::ThreadPool::global();
-  const std::size_t P = pool.concurrency();
-  bool window_parallel = false;
-  switch (params.strategy) {
-    case Strategy::kWindowParallel:
-      window_parallel = true;
-      break;
-    case Strategy::kLevelStaged:
-      window_parallel = false;
-      break;
-    case Strategy::kAuto:
-      // Whole-window serial sweeps win whenever the windows themselves can
-      // load every execution context and no single window dominates the
-      // batch; with one context there are no barriers to amortize at all,
-      // so the serial sweep's locality always wins. Otherwise (few large
-      // windows) parallelize inside the windows, level batch by level
-      // batch, with the fused staged launch.
-      window_parallel =
-          P <= 1 || (windows.size() >= 2 * P &&
-                     max_win_nodes * 4 <= total_nodes);
-      break;
-  }
-  result.window_parallel = window_parallel;
-
-  // Shared per-round kernels (both dimension choices use the same code).
-  auto project_window = [&](const Window& w, std::uint64_t* base,
-                            std::size_t r, std::size_t nw) {
-    const std::uint64_t word0 = r * E;
-    for (unsigned j = 0; j < w.num_inputs(); ++j) {
-      std::uint64_t* dst = base + j * E;
-      for (std::size_t k = 0; k < nw; ++k)
-        dst[k] = tt::projection_word(j, word0 + k);
-    }
-  };
-  auto compare_window = [&](std::size_t wi, std::size_t r, std::size_t nw) {
-    const Window& w = windows[wi];
-    const std::uint64_t* base = simt.data() + state[wi].base * E;
-    const std::uint64_t mask =
-        state[wi].tt_words == 1 ? tt::word_mask(w.num_inputs()) : 0;
-    bool all_decided = true;
-    for (std::size_t ii = 0; ii < w.items.size(); ++ii) {
-      if (decided[wi][ii]) continue;
-      if (compare_item(w.item_slots[ii], base, E, nw, r * E, mask,
-                       &mismatch_bit[wi][ii]))
-        decided[wi][ii] = 1;  // disproved
-      else
-        all_decided = false;
-    }
-    if (all_decided) state[wi].alive = false;  // skip remaining rounds
-  };
   const auto cancel_fired = [&] {
     return params.cancel != nullptr &&
            params.cancel->load(std::memory_order_relaxed);
@@ -242,149 +216,86 @@ BatchResult check_batch(const aig::Aig& aig,
   const auto deadline_expired = [&] {
     return params.deadline != nullptr && params.deadline->expired();
   };
-  // Workers poll this like cancellation; the host attributes the stop to
-  // cancel vs deadline afterwards (a deadline never un-expires).
-  const auto stop_fired = [&] { return cancel_fired() || deadline_expired(); };
 
-  if (window_parallel) {
-    // --- Window dimension: every worker sweeps whole windows serially
-    // through their full level order AND all their rounds — zero
-    // cross-window barriers, maximal table locality. ---
-    std::vector<std::uint32_t> win_rounds(windows.size(), 0);
-    std::vector<std::size_t> win_words(windows.size(), 0);
-    parallel::parallel_for_chunks(
-        0, windows.size(), [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t wi = lo; wi < hi; ++wi) {
-            const Window& w = windows[wi];
-            const std::size_t tt = state[wi].tt_words;
-            std::uint64_t* base = simt.data() + state[wi].base * E;
-            const unsigned in = w.num_inputs();
-            const std::size_t wrounds = (tt + E - 1) / E;
-            for (std::size_t r = 0; r < wrounds && state[wi].alive; ++r) {
-              if (stop_fired()) return;  // abandon the chunk
-              const std::size_t nw = std::min(E, tt - r * E);
-              project_window(w, base, r, nw);
-              for (std::size_t ni = 0; ni < w.wnodes.size(); ++ni)
-                sim_node(w.wnodes[ni], base, in + ni, E, nw);
-              compare_window(wi, r, nw);
-              win_words[wi] += w.nodes.size() * nw;
-              win_rounds[wi] = r + 1;
-            }
-          }
-        });
-    for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-      result.words_simulated += win_words[wi];
-      result.rounds = std::max<std::size_t>(result.rounds, win_rounds[wi]);
+  // One tile = one (window, round): input projection, every node in
+  // topological order, root compare — the word dimension of Fig. 3 over a
+  // private table, with no barrier anywhere.
+  const auto run_tile = [&](std::size_t wi, std::size_t r,
+                            std::uint64_t* table, LaneTotals& totals) {
+    const Window& w = windows[wi];
+    const std::size_t tt = w.tt_words();
+    const std::uint64_t word0 = r * E;
+    const std::uint64_t bit0 = word0 << 6;
+    std::atomic<std::uint64_t>* bad = first_bad.data() + item_base[wi];
+    // Skip only when every item already mismatches below this tile: the
+    // tile can then neither decide an item nor lower a counterexample.
+    bool needed = false;
+    for (std::size_t ii = 0; ii < w.items.size() && !needed; ++ii)
+      needed = bad[ii].load(std::memory_order_relaxed) >= bit0;
+    if (!needed) return;
+    const std::size_t nw = std::min(E, tt - word0);
+    const unsigned in = w.num_inputs();
+    for (unsigned j = 0; j < in; ++j) {
+      std::uint64_t* dst = table + j * E;
+      for (std::size_t k = 0; k < nw; ++k)
+        dst[k] = tt::projection_word(j, word0 + k);
     }
-    if (cancel_fired()) {
-      result.cancelled = true;
-      publish();
-      return result;
+    for (std::size_t ni = 0; ni < w.wnodes.size(); ++ni)
+      sim_node(w.wnodes[ni], table, in + ni, E, nw);
+    const std::uint64_t mask = tt == 1 ? tt::word_mask(in) : 0;
+    for (std::size_t ii = 0; ii < w.items.size(); ++ii) {
+      std::uint64_t seen = bad[ii].load(std::memory_order_relaxed);
+      if (seen < bit0) continue;  // an earlier round already mismatched
+      std::uint64_t bit = 0;
+      if (!compare_item(w.item_slots[ii], table, E, nw, word0, mask, &bit))
+        continue;
+      while (bit < seen &&
+             !bad[ii].compare_exchange_weak(seen, bit,
+                                            std::memory_order_relaxed)) {
+      }
     }
-    if (deadline_expired()) {
-      result.failure = BatchFailure::kDeadline;
-      publish();
-      return result;
+    ++totals.tiles;
+    totals.words += w.nodes.size() * nw;
+    totals.rounds = std::max(totals.rounds, r + 1);
+  };
+
+  // Lanes claim tiles in ascending (window, round) order from one ticket
+  // and stop before any tile once cancellation or the deadline fires.
+  std::atomic<std::size_t> next_tile{0};
+  std::vector<LaneTotals> totals(lanes);
+  const auto run_lane = [&](std::size_t lane) {
+    std::uint64_t* table = simt.get() + lane * lane_words;
+    std::size_t wi = 0;
+    for (;;) {
+      if (cancel_fired() || deadline_expired()) return;
+      const std::size_t t = next_tile.fetch_add(1, std::memory_order_relaxed);
+      if (t >= num_tiles) return;
+      while (tile_base[wi + 1] <= t) ++wi;  // tickets only grow per lane
+      run_tile(wi, t - tile_base[wi], table, totals[lane]);
     }
+  };
+  if (lanes == 1) {
+    run_lane(0);
   } else {
-    // --- Level-batch dimension (Alg. 1 lines 5-14): each round's kernel
-    // sequence — input projection, level 1..L, root compare — is ONE
-    // fused staged launch; the per-level work lists are flattened across
-    // windows and chunks hoist per-window setup over runs of nodes. ---
-    std::uint32_t max_levels = 0;
-    for (const Window& w : windows)
-      max_levels = std::max(max_levels, w.num_levels());
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-        level_work(max_levels + 1);
-    for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-      const Window& w = windows[wi];
-      for (std::uint32_t l = 1; l <= w.num_levels(); ++l)
-        for (std::uint32_t n = w.level_offset[l - 1]; n < w.level_offset[l];
-             ++n)
-          level_work[l].emplace_back(static_cast<std::uint32_t>(wi), n);
-    }
-
-    std::size_t cur_round = 0;
-    auto words_this_round = [&](std::size_t wi) {
-      return std::min(E, state[wi].tt_words - cur_round * E);
-    };
-
-    // The plan is built once; every round re-runs it with cur_round
-    // rebound. Stage bodies see the current round through the captured
-    // references.
     parallel::StagePlan plan;
-    plan.set_cancel(params.cancel);
-    plan.stage_chunks(0, windows.size(),
-                      [&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t wi = lo; wi < hi; ++wi) {
-                          if (!state[wi].alive) continue;
-                          project_window(windows[wi],
-                                         simt.data() + state[wi].base * E,
-                                         cur_round, words_this_round(wi));
-                        }
-                      });
-    for (std::uint32_t l = 1; l <= max_levels; ++l) {
-      if (level_work[l].empty()) continue;
-      plan.stage_chunks(
-          0, level_work[l].size(),
-          [&, work = &level_work[l]](std::size_t lo, std::size_t hi) {
-            std::size_t t = lo;
-            while (t < hi) {
-              const std::uint32_t wi = (*work)[t].first;
-              std::size_t run = t + 1;
-              while (run < hi && (*work)[run].first == wi) ++run;
-              if (state[wi].alive) {
-                const Window& w = windows[wi];
-                std::uint64_t* base = simt.data() + state[wi].base * E;
-                const std::size_t nw = words_this_round(wi);
-                const unsigned in = w.num_inputs();
-                for (std::size_t q = t; q < run; ++q)
-                  sim_node(w.wnodes[(*work)[q].second], base,
-                           in + (*work)[q].second, E, nw);
-              }
-              t = run;
-            }
-          });
-    }
-    plan.stage_chunks(0, windows.size(),
-                      [&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t wi = lo; wi < hi; ++wi)
-                          if (state[wi].alive)
-                            compare_window(wi, cur_round,
-                                           words_this_round(wi));
-                      });
-
-    for (std::size_t r = 0; r < rounds; ++r) {
-      if (cancel_fired()) {
-        result.cancelled = true;
-        publish();
-        return result;
-      }
-      if (deadline_expired()) {
-        result.failure = BatchFailure::kDeadline;
-        publish();
-        return result;
-      }
-      // Windows needing simulation this round (Alg. 1 line 6).
-      bool any_active = false;
-      for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-        const bool active = state[wi].alive && state[wi].tt_words > r * E;
-        state[wi].alive = state[wi].alive && active;
-        any_active |= active;
-      }
-      if (!any_active) break;
-      cur_round = r;
-      for (std::size_t wi = 0; wi < windows.size(); ++wi)
-        if (state[wi].alive)
-          result.words_simulated +=
-              windows[wi].nodes.size() * words_this_round(wi);
-      if (!pool.run_stages(plan)) {
-        result.cancelled = true;
-        publish();
-        return result;
-      }
-      ++result.rounds;
-    }
+    plan.set_granular(true);
+    plan.stage(0, lanes, run_lane);
+    pool.run_stages(plan);
+  }
+  for (const LaneTotals& t : totals) {
+    result.tiles += t.tiles;
+    result.words_simulated += t.words;
+    result.rounds = std::max(result.rounds, t.rounds);
+  }
+  if (cancel_fired()) {
+    result.cancelled = true;
+    publish();
+    return result;
+  }
+  if (deadline_expired()) {
+    result.failure = BatchFailure::kDeadline;
+    publish();
+    return result;
   }
 
   // --- Collect outcomes and CEXs. ---
@@ -392,7 +303,9 @@ BatchResult check_batch(const aig::Aig& aig,
   for (std::size_t wi = 0; wi < windows.size(); ++wi) {
     const Window& w = windows[wi];
     for (std::size_t ii = 0; ii < w.items.size(); ++ii) {
-      const bool disproved = decided[wi][ii];
+      const std::uint64_t idx =
+          first_bad[item_base[wi] + ii].load(std::memory_order_relaxed);
+      const bool disproved = idx != kNoMismatch;
       result.outcomes.emplace_back(
           w.items[ii].tag,
           disproved ? ItemStatus::kDisproved : ItemStatus::kProved);
@@ -400,7 +313,6 @@ BatchResult check_batch(const aig::Aig& aig,
           result.cexes.size() < params.max_cex) {
         Cex cex;
         cex.tag = w.items[ii].tag;
-        const std::uint64_t idx = mismatch_bit[wi][ii];
         cex.assignment.reserve(w.num_inputs());
         for (unsigned j = 0; j < w.num_inputs(); ++j)
           cex.assignment.emplace_back(w.inputs[j],

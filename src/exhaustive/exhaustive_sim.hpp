@@ -10,20 +10,27 @@
 /// line 2); the full 2^k-bit tables are then covered by multiple rounds,
 /// round r simulating word range [rE, (r+1)E).
 ///
-/// The three dimensions of parallelism of paper Fig. 3 map to the CPU
-/// substrate adaptively, per batch (see Params::strategy):
-///  - window dimension: when the batch has many windows relative to the
-///    executor width (or the executor is a single context), each worker
-///    simulates whole windows serially — full level order, all rounds —
-///    with zero cross-window barriers and maximal locality;
-///  - level-batch dimension: when the batch has few large windows, each
-///    round's kernel sequence (input projection -> level 1..L -> root
-///    compare) is fused into ONE staged launch (parallel_stages) over
-///    flattened per-level work lists, with lightweight internal barriers
-///    instead of per-level submission handshakes;
-///  - word dimension: the per-entry word loops are 4-wide unrolled
-///    restrict-qualified kernels (common/word_kernels.hpp) — on a GPU
-///    they would be the intra-warp thread dimension.
+/// Execution (paper Fig. 3 on the CPU substrate): the batch is one flat
+/// list of tiles, a tile being one (window, round) pair. Lanes — the
+/// calling thread alone for small batches, otherwise one per executor
+/// context — claim tiles in ascending (window, round) order from a single
+/// atomic ticket. Each lane owns a private slice of one table, so a tile
+/// runs input projection, every node in topological order and the root
+/// compare with no barrier anywhere:
+///  - window dimension: many small windows are one tile each, spread over
+///    the lanes;
+///  - word dimension: a few huge windows are thousands of tiles each, so
+///    the lanes sweep disjoint word ranges of the same window; the
+///    per-entry loops are 4-wide unrolled restrict-qualified kernels
+///    (common/word_kernels.hpp) — on a GPU the intra-warp dimension;
+///  - level-batch dimension: not used on CPU. A tile simulates a whole
+///    window's level order serially; one barrier per level costs more on
+///    CPU threads than the parallelism inside a level buys (DESIGN.md §8).
+///
+/// Outcomes and counterexamples do not depend on E, the lane count or the
+/// schedule: each item keeps the lowest mismatching global bit (an atomic
+/// minimum), which is exactly what a serial sweep of the rounds in order
+/// reports.
 
 #include <atomic>
 #include <cstdint>
@@ -40,20 +47,15 @@ class Registry;
 
 namespace simsweep::exhaustive {
 
-/// Which parallelism dimension check_batch uses (paper Fig. 3).
-enum class Strategy : std::uint8_t {
-  kAuto,            ///< pick per batch from batch shape and executor width
-  kWindowParallel,  ///< always whole-window serial sweeps across windows
-  kLevelStaged,     ///< always fused level-staged rounds
-};
-
 struct Params {
   /// Memory budget M for the simulation table, in 64-bit words (Alg. 1
-  /// input). Default 2^22 words = 32 MiB.
+  /// input): all lanes' tables together, lanes × max window slots × E,
+  /// stay within it. Default 2^22 words = 32 MiB.
   std::size_t memory_words = std::size_t{1} << 22;
   /// Soft cache-residency cap on the simulation table: the entry size E is
-  /// halved (adding rounds) until slots*E fits in this many words. A purely
-  /// performance-motivated refinement of Alg. 1 line 2 — the round
+  /// halved (adding rounds) until all lanes' tables, lanes × max window
+  /// slots × E, fit in this many words. A purely performance-motivated
+  /// refinement of Alg. 1 line 2 — the round
   /// decomposition changes, outcomes never do — that keeps the table
   /// streaming from cache instead of DRAM (measured ~2.8x on large-table
   /// batches). 0 disables the clamp. Default 2^17 words = 1 MiB.
@@ -62,25 +64,23 @@ struct Params {
   bool collect_cex = true;
   /// Cap on collected CEXs per batch (one per item at most).
   std::size_t max_cex = 256;
-  /// Cooperative cancellation: checked between rounds AND between the
-  /// fused stages / window-rounds inside a round, so even long
-  /// single-round batches cancel promptly. When it fires the batch returns
-  /// with `cancelled` set and its outcomes MUST be ignored.
+  /// Cooperative cancellation: every lane checks it before every tile, so
+  /// even a single huge window cancels promptly. When it fires the batch
+  /// returns with `cancelled` set and its outcomes MUST be ignored.
   const std::atomic<bool>* cancel = nullptr;
-  /// Parallelism-dimension choice (see Strategy).
-  Strategy strategy = Strategy::kAuto;
   /// Optional metrics sink. When set, check_batch publishes its batch
   /// telemetry under `exhaustive.*` with one relaxed atomic add per metric
   /// at batch end — the hot loops accumulate into locals either way, so a
   /// null sink costs nothing (DESIGN.md §2.3).
   obs::Registry* obs = nullptr;
   /// Optional process-level memory governor (DESIGN.md §2.4): the big
-  /// simulation-table allocation is charged against it before it happens,
-  /// and a denied charge returns BatchFailure::kMemoryBudget instead of
-  /// allocating past the process budget.
+  /// simulation-table allocation (every lane's table, one lease) is
+  /// charged against it before it happens, and a denied charge returns
+  /// BatchFailure::kMemoryBudget instead of allocating past the process
+  /// budget.
   fault::MemoryLedger* ledger = nullptr;
-  /// Optional phase deadline: checked where cancellation is checked (plus
-  /// between level-staged rounds); expiry returns BatchFailure::kDeadline.
+  /// Optional phase deadline: checked where cancellation is checked;
+  /// expiry returns BatchFailure::kDeadline.
   const fault::Deadline* deadline = nullptr;
 };
 
@@ -111,11 +111,16 @@ struct BatchResult {
   /// (tag, status) for every item of every window in the batch.
   std::vector<std::pair<std::uint32_t, ItemStatus>> outcomes;
   std::vector<Cex> cexes;
-  /// Telemetry for the benches.
+  /// Telemetry for the benches. `rounds`, `tiles` and `words_simulated`
+  /// count executed work: exact for windows whose items are all proved
+  /// (every tile runs); for windows with an early disproof they may vary
+  /// with the schedule, because a lane skips a tile only once every item
+  /// of its window already mismatched below it.
   std::size_t entry_words = 0;      ///< chosen E
-  std::size_t rounds = 0;           ///< executed rounds
+  std::size_t lanes = 0;            ///< lanes the tiles were spread over
+  std::size_t rounds = 0;           ///< highest executed round + 1
+  std::size_t tiles = 0;            ///< executed (window, round) tiles
   std::size_t words_simulated = 0;  ///< Σ node-words computed
-  bool window_parallel = false;     ///< dimension the batch actually used
   /// True iff params.cancel fired mid-batch; outcomes are then invalid.
   bool cancelled = false;
   /// Set when the batch failed recoverably; outcomes are then invalid

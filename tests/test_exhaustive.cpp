@@ -7,9 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <thread>
 
 #include "aig/aig_analysis.hpp"
+#include "parallel/thread_pool.hpp"
 #include "test_util.hpp"
 #include "window/window_merge.hpp"
 
@@ -220,39 +223,6 @@ TEST(Exhaustive, CexBitIndexDecoding) {
   for (bool b : pis) EXPECT_TRUE(b);
 }
 
-TEST(Exhaustive, StrategiesAgreeOnOutcomes) {
-  // The parallelism dimension (whole-window sweeps vs fused level stages)
-  // is a pure execution choice: outcomes must be identical, for every
-  // memory budget.
-  const Aig a = testutil::random_aig(9, 160, 10, 64);
-  std::vector<window::Window> windows;
-  for (std::size_t i = 0; i + 1 < a.num_pos(); i += 2) {
-    auto w = window::build_window(
-        a, all_pis(a),
-        {window::CheckItem{a.po(i), a.po(i + 1),
-                           static_cast<std::uint32_t>(i)}});
-    ASSERT_TRUE(w);
-    windows.push_back(std::move(*w));
-  }
-  for (const std::size_t budget : {std::size_t{512}, std::size_t{1} << 22}) {
-    Params wp, ls;
-    wp.memory_words = ls.memory_words = budget;
-    wp.strategy = Strategy::kWindowParallel;
-    ls.strategy = Strategy::kLevelStaged;
-    const BatchResult rw = check_batch(a, windows, wp);
-    const BatchResult rl = check_batch(a, windows, ls);
-    EXPECT_TRUE(rw.window_parallel);
-    EXPECT_FALSE(rl.window_parallel);
-    ASSERT_EQ(rw.outcomes.size(), rl.outcomes.size());
-    for (std::size_t i = 0; i < rw.outcomes.size(); ++i) {
-      EXPECT_EQ(rw.outcomes[i].first, rl.outcomes[i].first);
-      EXPECT_EQ(rw.outcomes[i].second, rl.outcomes[i].second);
-    }
-    EXPECT_EQ(rw.rounds, rl.rounds);
-    EXPECT_EQ(rw.words_simulated, rl.words_simulated);
-  }
-}
-
 TEST(Exhaustive, CacheClampOnlyChangesRoundDecomposition) {
   // The cache-residency clamp on E must never change outcomes, only the
   // number of rounds.
@@ -283,6 +253,165 @@ TEST(Exhaustive, CacheClampOnlyChangesRoundDecomposition) {
     EXPECT_EQ(ru.outcomes[i].first, rc.outcomes[i].first);
     EXPECT_EQ(ru.outcomes[i].second, rc.outcomes[i].second);
   }
+}
+
+/// A random AIG whose ANDs draw their fanins from the most recent literals
+/// only, so every PO's cone holds most of the graph (testutil::random_aig
+/// draws from all literals and gives small cones).
+Aig deep_aig(unsigned num_pis, unsigned num_ands, unsigned num_pos,
+             std::uint64_t seed) {
+  Rng rng(seed);
+  Aig a(num_pis);
+  std::vector<Lit> lits;
+  for (unsigned i = 0; i < num_pis; ++i) lits.push_back(a.pi_lit(i));
+  const std::size_t reach = 2 * num_pis;
+  for (unsigned i = 0; i < num_ands; ++i) {
+    const auto pick = [&] {
+      const std::size_t lo = lits.size() > reach ? lits.size() - reach : 0;
+      return aig::lit_notcond(lits[lo + rng.below(lits.size() - lo)],
+                              rng.flip());
+    };
+    const Lit g = a.add_and(pick(), pick());
+    if (aig::lit_var(g) != 0) lits.push_back(g);
+  }
+  for (unsigned i = 0; i < num_pos; ++i)
+    a.add_po(lits[lits.size() - 1 - rng.below(reach)]);
+  return a;
+}
+
+/// Windows of 4 items over all PIs of `a`, whose items first mismatch in
+/// different rounds: a PO against the next PO (usually an early pattern),
+/// a PO against itself (never), and two POs against `po ^ cube`, which
+/// first differ at the pattern that sets exactly the cube's inputs.
+std::vector<window::Window> staggered_windows(Aig& a, unsigned num_windows) {
+  const unsigned n = a.num_pis();
+  const unsigned pos = static_cast<unsigned>(a.num_pos());
+  std::vector<std::vector<window::CheckItem>> items(num_windows);
+  for (unsigned w = 0; w < num_windows; ++w) {
+    for (unsigned i = 0; i < 4; ++i) {
+      const unsigned k = 4 * w + i;
+      const Lit f = a.po(k % pos);
+      Lit g = a.po((k + 1) % pos);
+      if (i == 1) g = f;
+      if (i >= 2) {
+        const Lit cube = a.add_and(a.pi_lit(n - 1 - k % 3),
+                                   a.pi_lit((7 * k) % n));
+        g = a.add_xor(f, cube);
+      }
+      items[w].push_back(window::CheckItem{f, g, k});
+    }
+  }
+  std::vector<window::Window> windows;
+  for (auto& its : items) {
+    auto w = window::build_window(a, all_pis(a), std::move(its));
+    EXPECT_TRUE(w);
+    if (w) windows.push_back(std::move(*w));
+  }
+  return windows;
+}
+
+TEST(Exhaustive, CounterexampleIsLowestMismatchingPattern) {
+  // Every outcome and every CEX must equal a brute-force scan of the
+  // patterns in index order, whatever E, the lane count and the tile
+  // schedule: from one lane over single-word tiles up to the defaults.
+  struct Budget {
+    std::size_t memory_words;
+    std::size_t cache_words;
+  };
+  const Budget budgets[] = {{64, 0},
+                            {std::size_t{1} << 22, 64},
+                            {std::size_t{1} << 22, std::size_t{1} << 13},
+                            {std::size_t{1} << 22, std::size_t{1} << 17}};
+  bool many_lanes = false;
+  std::size_t min_tiles = ~std::size_t{0}, max_tiles = 0;
+  for (const unsigned pis : {5u, 9u, 12u}) {
+    Aig a = deep_aig(pis, 3000, 8, 900 + pis);
+    const auto windows = staggered_windows(a, 6);
+    // Brute force: the first pattern index where the two roots differ.
+    std::map<std::uint32_t, std::optional<std::uint64_t>> expected;
+    for (const window::Window& w : windows)
+      for (const window::CheckItem& item : w.items) {
+        const tt::TruthTable ta = aig::global_truth_table(a, item.a);
+        const tt::TruthTable tb = aig::global_truth_table(a, item.b);
+        std::optional<std::uint64_t> first;
+        for (std::uint64_t p = 0; p < ta.bits() && !first; ++p)
+          if (ta.get_bit(p) != tb.get_bit(p)) first = p;
+        expected[item.tag] = first;
+      }
+    for (const Budget& b : budgets) {
+      Params params;
+      params.memory_words = b.memory_words;
+      params.cache_words = b.cache_words;
+      const BatchResult r = check_batch(a, windows, params);
+      ASSERT_EQ(r.failure, BatchFailure::kNone);
+      many_lanes |= r.lanes > 1;
+      min_tiles = std::min(min_tiles, r.tiles);
+      max_tiles = std::max(max_tiles, r.tiles);
+      std::size_t next_cex = 0;
+      for (const auto& [tag, status] : r.outcomes) {
+        const auto& first = expected.at(tag);
+        ASSERT_EQ(status == ItemStatus::kDisproved, first.has_value())
+            << "pis " << pis << " tag " << tag << " E " << r.entry_words;
+        if (!first) continue;
+        ASSERT_LT(next_cex, r.cexes.size());
+        const Cex& cex = r.cexes[next_cex++];
+        EXPECT_EQ(cex.tag, tag);
+        std::vector<std::pair<Var, bool>> want;
+        for (unsigned j = 0; j < pis; ++j)
+          want.emplace_back(j + 1, ((*first >> j) & 1) != 0);
+        EXPECT_EQ(cex.assignment, want)
+            << "pis " << pis << " tag " << tag << " E " << r.entry_words
+            << " lanes " << r.lanes;
+      }
+      EXPECT_EQ(next_cex, r.cexes.size());
+    }
+  }
+  EXPECT_LT(min_tiles, max_tiles);
+  if (parallel::ThreadPool::global().concurrency() > 1) {
+    EXPECT_TRUE(many_lanes);
+  }
+}
+
+/// One big window over 20 inputs whose single item compares a deep node
+/// with itself: it is proved only after every tile ran, so a stop always
+/// lands mid-batch.
+window::Window big_proved_window(Aig& a) {
+  const Lit f = a.po(0);
+  auto w = window::build_window(a, all_pis(a), {window::CheckItem{f, f, 0}});
+  EXPECT_TRUE(w);
+  return std::move(*w);
+}
+
+TEST(Exhaustive, DeadlineDuringSingleWindowReturnsDeadline) {
+  Aig a = deep_aig(20, 20000, 1, 66);
+  const std::vector<window::Window> windows{big_proved_window(a)};
+  const fault::Deadline deadline = fault::Deadline::after(0.002);
+  Params p;
+  p.deadline = &deadline;
+  const BatchResult r = check_batch(a, windows, p);
+  EXPECT_EQ(r.failure, BatchFailure::kDeadline);
+  EXPECT_FALSE(r.cancelled);
+  EXPECT_TRUE(r.outcomes.empty());
+  EXPECT_TRUE(r.cexes.empty());
+  // The stop landed between tiles, well before the whole table was swept.
+  EXPECT_LT(r.words_simulated, windows[0].nodes.size() * windows[0].tt_words());
+}
+
+TEST(Exhaustive, CancelFromAnotherThreadMidBatchReturnsCancelled) {
+  Aig a = deep_aig(20, 20000, 1, 67);
+  const std::vector<window::Window> windows{big_proved_window(a)};
+  std::atomic<bool> cancel{false};
+  Params p;
+  p.cancel = &cancel;
+  std::thread raiser([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    cancel.store(true, std::memory_order_relaxed);
+  });
+  const BatchResult r = check_batch(a, windows, p);
+  raiser.join();
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_TRUE(r.outcomes.empty());
+  EXPECT_LT(r.words_simulated, windows[0].nodes.size() * windows[0].tt_words());
 }
 
 TEST(Exhaustive, CancellationReturnsCancelled) {

@@ -30,6 +30,7 @@
 #include "aig/miter.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "engine/engine.hpp"
+#include "engine/phase_common.hpp"
 #include "gen/arith.hpp"
 #include "opt/resyn.hpp"
 #include "parallel/thread_pool.hpp"
@@ -326,7 +327,7 @@ TEST(Governor, MemoryBudgetDenialsDegradeInsteadOfAborting) {
   const aig::Aig a = gen::array_multiplier(4);
   const aig::Aig b = gen::wallace_multiplier(4);
   engine::EngineParams p = small_engine();
-  p.memory_budget_bytes = 1 << 14;  // 16 KiB: M=2^16 words cannot fit
+  p.memory_budget_bytes = 1 << 12;  // 4 KiB: M=2^16 words cannot fit
   p.min_memory_words = 1 << 9;
   const engine::EngineResult r = engine::SimCecEngine(p).check(a, b);
   EXPECT_NE(r.verdict, Verdict::kNotEquivalent);
@@ -335,6 +336,60 @@ TEST(Governor, MemoryBudgetDenialsDegradeInsteadOfAborting) {
   EXPECT_GT(r.report.value(obs::metric::kDegradeMemoryPeakBytes), 0.0);
   EXPECT_LE(r.report.value(obs::metric::kDegradeMemoryPeakBytes),
             static_cast<double>(p.memory_budget_bytes));
+}
+
+TEST(FaultRecovery, LedgerFittingOneLaneButNotAllIsRecoveredByTheLadder) {
+  // A batch spread over several lanes charges every lane's table in one
+  // lease. A ledger with room for one lane's table but not for all of them
+  // denies the batch; the ladder's halved M then fits it (smaller tiles or
+  // fewer lanes) and returns the unconstrained run's outcomes.
+  if (parallel::ThreadPool::global().concurrency() < 2)
+    GTEST_SKIP() << "needs an executor with more than one context";
+  const aig::Aig miter = aig::make_miter(gen::array_multiplier(8),
+                                         gen::wallace_multiplier(8));
+  std::vector<aig::Var> pis(miter.num_pis());
+  for (unsigned i = 0; i < miter.num_pis(); ++i) pis[i] = i + 1;
+  std::vector<window::CheckItem> items;
+  for (std::uint32_t i = 0; i < miter.num_pos(); ++i)
+    items.push_back(window::CheckItem{miter.po(i), aig::kLitFalse, i});
+  auto w = window::build_window(miter, pis, std::move(items));
+  ASSERT_TRUE(w);
+  const std::size_t slots = w->num_slots();
+  std::vector<window::Window> windows;
+  windows.push_back(std::move(*w));
+
+  exhaustive::Params sim;
+  sim.memory_words = std::size_t{1} << 17;
+  const exhaustive::BatchResult free_run =
+      exhaustive::check_batch(miter, windows, sim);
+  ASSERT_EQ(free_run.failure, exhaustive::BatchFailure::kNone);
+  ASSERT_GT(free_run.lanes, 1u);
+  const std::uint64_t one_lane_bytes =
+      slots * free_run.entry_words * sizeof(std::uint64_t);
+
+  fault::MemoryLedger tight(one_lane_bytes);
+  exhaustive::Params denied = sim;
+  denied.ledger = &tight;
+  const exhaustive::BatchResult r =
+      exhaustive::check_batch(miter, windows, denied);
+  EXPECT_EQ(r.failure, exhaustive::BatchFailure::kMemoryBudget);
+  EXPECT_TRUE(r.outcomes.empty());
+  EXPECT_EQ(tight.denials(), 1u);
+
+  engine::EngineParams p;
+  p.memory_words = sim.memory_words;
+  engine::detail::EngineContext ctx{p,  miter,   {}, {}, {}, false, {},
+                                    {true, true, true}, nullptr, {}, &tight,
+                                    {}, {}};
+  ctx.degrade.memory_words = p.memory_words;
+  const engine::detail::LadderOutcome out =
+      engine::detail::run_batch_with_ladder(ctx, miter, windows, sim);
+  EXPECT_FALSE(out.cancelled);
+  EXPECT_EQ(out.items_abandoned, 0u);
+  EXPECT_GT(ctx.degrade.memory_halvings, 0u);
+  EXPECT_EQ(out.result.outcomes, free_run.outcomes);
+  EXPECT_LE(tight.peak_bytes(), one_lane_bytes);
+  EXPECT_EQ(tight.charged_bytes(), 0u);
 }
 
 TEST(Governor, SharedLedgerIsChargedAcrossRuns) {
