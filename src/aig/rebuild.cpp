@@ -30,8 +30,13 @@ Lit SubstitutionMap::resolve(Lit lit) const {
   }
   // Path compression (single hop is enough for our chain lengths).
   const Var v0 = lit_var(lit);
-  if (v0 != v) repl_[v0] = make_lit(v, c ^ lit_compl(lit));
+  const Lit direct = make_lit(v, c ^ lit_compl(lit));
+  if (v0 != v && repl_[v0] != direct) repl_[v0] = direct;
   return make_lit(v, c);
+}
+
+void SubstitutionMap::compress() {
+  for (Var v = 0; v < repl_.size(); ++v) resolve(make_lit(v));
 }
 
 RebuildResult rebuild(const Aig& aig, const SubstitutionMap& subst) {

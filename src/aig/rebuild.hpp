@@ -31,6 +31,11 @@ class SubstitutionMap {
   /// Resolves a literal through the substitution chain.
   Lit resolve(Lit lit) const;
 
+  /// Points every substituted variable straight at its representative.
+  /// resolve() then never writes, so threads may share a compressed map
+  /// for as long as no merge follows.
+  void compress();
+
   /// Whether any merge has been recorded.
   bool empty() const { return num_merged_ == 0; }
   std::size_t num_merged() const { return num_merged_; }

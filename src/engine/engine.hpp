@@ -336,7 +336,7 @@ struct EngineContext {
   obs::Registry* obs = nullptr;
   /// Degradation-ladder state (DESIGN.md §2.4); the type lives at
   /// namespace scope so checkpoint snapshots can carry it (§2.8).
-  DegradeState degrade;
+  DegradeState degrade{};
   /// Memory governor for this run: the caller's EngineParams::memory_ledger,
   /// an engine-private one (memory_budget_bytes > 0), or null (ungoverned).
   fault::MemoryLedger* ledger = nullptr;
@@ -344,11 +344,11 @@ struct EngineContext {
   /// Signatures matrix and one EcManager kept alive across phases,
   /// delta-simulated on CEX absorption and translated through rebuild
   /// lit_maps. check_miter() enables it from EngineParams.
-  sim::IncrementalState inc;
+  sim::IncrementalState inc{};
   /// Cached level schedule of the current miter, shared by partial
   /// simulation, window building and cut passes. Lazily built by
   /// level_schedule() (phase_common.hpp); reset at every rebuild.
-  std::optional<aig::LevelSchedule> schedule;
+  std::optional<aig::LevelSchedule> schedule{};
 };
 
 /// Returns false if the miter was disproved (stop immediately).

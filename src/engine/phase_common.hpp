@@ -85,7 +85,8 @@ struct LadderOutcome {
 /// a memory-ledger denial) the ladder retries with backoff, persisting
 /// the degraded parameters in ctx.degrade so later batches start there:
 ///   1. halve the working M (down to params.min_memory_words), at most
-///      params.max_fault_retries times per batch;
+///      params.max_fault_retries times per batch; after a ledger denial
+///      only while that shrinks the batch's table;
 ///   2. split the batch per window and run each alone (smaller tables);
 ///   3. abandon the remaining items to the undecided path.
 /// Deadline expiry is not retried — the phase's remaining work is simply
@@ -115,7 +116,14 @@ inline LadderOutcome run_batch_with_ladder(EngineContext& ctx,
       return out;
     }
     // kAlloc / kMemoryBudget. Rung 1: same batch, half the table budget.
-    if (attempt < ctx.params.max_fault_retries &&
+    // A table of at most M/2 words (E capped by the truth-table length or
+    // the cache clamp), or of one lane at E = 1, is the same under M/2. A
+    // ledger would deny that same charge again, so a denial skips the rung
+    // then; a failed allocation may still succeed on a retry.
+    const bool halving_shrinks = r.table_words > deg.memory_words / 2 &&
+                                 r.lanes * r.entry_words > 1;
+    if ((halving_shrinks || r.failure == exhaustive::BatchFailure::kAlloc) &&
+        attempt < ctx.params.max_fault_retries &&
         deg.memory_words / 2 >= ctx.params.min_memory_words) {
       deg.memory_words /= 2;
       ++deg.memory_halvings;

@@ -156,6 +156,7 @@ BatchResult check_batch(const aig::Aig& aig,
   const std::size_t lane_words = max_slots * E;
   result.entry_words = E;
   result.lanes = lanes;
+  result.table_words = lanes * lane_words;
 
   // Publish once per batch (all exits): hot loops never touch the sink.
   const auto publish = [&] {
@@ -186,7 +187,7 @@ BatchResult check_batch(const aig::Aig& aig,
   // right here; the table is left uninitialized (every tile writes each
   // row before reading it). ---
   fault::MemoryLease lease(params.ledger,
-                           lanes * lane_words * sizeof(std::uint64_t));
+                           result.table_words * sizeof(std::uint64_t));
   if (!lease.ok()) {
     result.failure = BatchFailure::kMemoryBudget;
     publish();
@@ -195,7 +196,7 @@ BatchResult check_batch(const aig::Aig& aig,
   std::unique_ptr<std::uint64_t[]> simt;
   try {
     if (SIMSWEEP_FAULT_POINT(fault::sites::kExhaustiveSimtAlloc)) throw std::bad_alloc{};
-    simt = std::make_unique_for_overwrite<std::uint64_t[]>(lanes * lane_words);
+    simt = std::make_unique_for_overwrite<std::uint64_t[]>(result.table_words);
   } catch (const std::bad_alloc&) {
     result.failure = BatchFailure::kAlloc;
     publish();

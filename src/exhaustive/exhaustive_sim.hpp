@@ -118,6 +118,9 @@ struct BatchResult {
   /// of its window already mismatched below it.
   std::size_t entry_words = 0;      ///< chosen E
   std::size_t lanes = 0;            ///< lanes the tiles were spread over
+  /// Words of the lanes' tables (lanes × max slots × E): what the batch
+  /// charges its memory ledger, also when that charge was denied.
+  std::size_t table_words = 0;
   std::size_t rounds = 0;           ///< highest executed round + 1
   std::size_t tiles = 0;            ///< executed (window, round) tiles
   std::size_t words_simulated = 0;  ///< Σ node-words computed

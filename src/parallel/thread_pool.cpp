@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <string>
 #include <system_error>
 
@@ -112,15 +113,53 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-bool ThreadPool::run_stages(const StagePlan& plan) {
-  const auto* cancel = plan.cancel_;
-  if (plan.stages_.empty())
-    return !(cancel != nullptr && cancel->load(std::memory_order_relaxed));
+std::vector<ThreadPool::StageRef> ThreadPool::refs_of(const StagePlan& plan) {
   std::vector<StageRef> refs;
   refs.reserve(plan.stages_.size());
   for (const auto& s : plan.stages_)
     refs.push_back(StageRef{s.begin, s.end, &s.block});
+  return refs;
+}
+
+bool ThreadPool::run_stages(const StagePlan& plan) {
+  const auto* cancel = plan.cancel_;
+  if (plan.stages_.empty())
+    return !(cancel != nullptr && cancel->load(std::memory_order_relaxed));
+  const std::vector<StageRef> refs = refs_of(plan);
   return execute(refs.data(), refs.size(), cancel, plan.granular_);
+}
+
+bool ThreadPool::run_beside(const StagePlan& plan,
+                            const std::function<void()>& host) {
+  if (workers_.empty() || plan.stages_.empty()) return false;
+  const std::vector<StageRef> refs = refs_of(plan);
+  // A try-lock never waits, so it cannot invert the rank order; the rank
+  // is still noted so that locks taken inside `host` are checked.
+  common::lock_ranks::detail::note_acquire(common::LockRank::kPool);
+  if (!submit_mutex_.try_lock()) {
+    common::lock_ranks::detail::note_release(common::LockRank::kPool);
+    return false;
+  }
+  std::uint32_t e = 0;
+  try {
+    e = publish(refs.data(), refs.size(), plan.cancel_, plan.granular_);
+  } catch (...) {
+    // The stage slots could not be allocated; no worker saw the job.
+    submit_mutex_.unlock();
+    common::lock_ranks::detail::note_release(common::LockRank::kPool);
+    return false;
+  }
+  std::exception_ptr failure;
+  try {
+    host();
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  join(e);
+  submit_mutex_.unlock();
+  common::lock_ranks::detail::note_release(common::LockRank::kPool);
+  if (failure) std::rethrow_exception(failure);
+  return true;
 }
 
 bool ThreadPool::execute(const StageRef* stages, std::size_t n,
@@ -147,7 +186,13 @@ bool ThreadPool::execute(const StageRef* stages, std::size_t n,
 
   common::RankedMutexLock submit(submit_mutex_, common::lock_ranks::pool);
   if (cancelled()) return false;
+  join(publish(stages, n, cancel, granular));
+  return !cancelled();
+}
 
+std::uint32_t ThreadPool::publish(const StageRef* stages, std::size_t n,
+                                  const std::atomic<bool>* cancel,
+                                  bool granular) {
   // Stage slots may be (re)allocated here: quiescence is guaranteed — the
   // previous job's submitter only returned once active_ hit 0.
   if (n > slot_capacity_) {
@@ -191,11 +236,14 @@ bool ThreadPool::execute(const StageRef* stages, std::size_t n,
     }
     park_cv_.notify_all();
   }
+  return e;
+}
 
+void ThreadPool::join(std::uint32_t epoch) {
   // The calling thread participates, then waits for stragglers to leave
   // the job before the stage slots may be reused.
   const auto job_start = std::chrono::steady_clock::now();
-  run_job(e, /*stat_slot=*/0);
+  run_job(epoch, /*stat_slot=*/0);
   unsigned spins = 0;
   while (active_.load(std::memory_order_acquire) != 0) relax(spins);
   worker_stats_[0].busy_ns.fetch_add(
@@ -204,7 +252,6 @@ bool ThreadPool::execute(const StageRef* stages, std::size_t n,
               std::chrono::steady_clock::now() - job_start)
               .count()),
       std::memory_order_relaxed);
-  return !cancelled();
 }
 
 void ThreadPool::run_job(std::uint32_t epoch, std::size_t stat_slot) {

@@ -212,6 +212,17 @@ class ThreadPool {
   /// then skipped and the caller must discard partial results).
   bool run_stages(const StagePlan& plan);
 
+  /// Runs `host` on the calling thread while the workers start on `plan`,
+  /// then joins the plan as run_stages() does: the caller claims what no
+  /// worker took and waits for the rest. For a host task that the plan's
+  /// bodies run beside, such as a sweep round's pair decisions beside its
+  /// PO probes (DESIGN.md §2.5). Returns false, running neither, when the
+  /// pool has no workers or another job holds it; the caller then runs
+  /// both itself, in the order it needs. A plan body may wait on `host`
+  /// only for as long as `host` runs: an exception from `host` is
+  /// rethrown after the join.
+  bool run_beside(const StagePlan& plan, const std::function<void()>& host);
+
   /// Lifetime utilization totals (jobs, stages, chunk claims, per-worker
   /// busy fractions). Safe to call concurrently with running jobs; the
   /// relaxed counters give a consistent-enough view for reporting.
@@ -264,6 +275,13 @@ class ThreadPool {
   bool execute(const StageRef* stages, std::size_t n,
                const std::atomic<bool>* cancel, bool granular = false)
       SIMSWEEP_EXCLUDES(submit_mutex_);
+  /// Loads a job into the stage slots and wakes the workers; returns its
+  /// epoch. join() then runs the caller's share and waits for the rest.
+  std::uint32_t publish(const StageRef* stages, std::size_t n,
+                        const std::atomic<bool>* cancel, bool granular)
+      SIMSWEEP_REQUIRES(submit_mutex_);
+  void join(std::uint32_t epoch) SIMSWEEP_REQUIRES(submit_mutex_);
+  static std::vector<StageRef> refs_of(const StagePlan& plan);
   /// `stat_slot` selects the per-thread utilization cell chunk claims are
   /// charged to: 0 for submitting threads, i+1 for worker i.
   void run_job(std::uint32_t epoch, std::size_t stat_slot)

@@ -72,6 +72,9 @@ class PairSolver {
   }
 
   std::uint64_t conflicts() const { return solver_.conflicts; }
+  /// Propagation ticks so far: the sweep's deterministic, host-independent
+  /// measure of solver work (DESIGN.md §2.5).
+  std::uint64_t ticks() const { return solver_.propagations; }
   std::size_t sat_calls() const { return sat_calls_; }
   std::size_t solve_faults() const { return solve_faults_; }
   bool inconsistent() const { return solver_.inconsistent(); }

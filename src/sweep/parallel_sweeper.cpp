@@ -21,6 +21,7 @@ namespace {
 /// Per-chunk solver accounting (single writer: the claiming shard).
 struct ChunkStats {
   std::uint64_t conflicts = 0;
+  std::uint64_t ticks = 0;
   std::size_t sat_calls = 0;
   std::size_t solve_faults = 0;
 };
@@ -57,8 +58,8 @@ class ChunkScheduler final : public RoundScheduler {
     // a restored merge reaches them through the map alone.
   }
 
-  std::vector<PairOutcome> decide(
-      const std::vector<sim::CandidatePair>& pairs) override;
+  std::vector<PairOutcome> decide(const std::vector<sim::CandidatePair>& pairs,
+                                  RoundLink& link) override;
 
   PairSolver& po_core() override {
     // A fresh core attached to the loop's map: every PO cone is encoded
@@ -71,10 +72,12 @@ class ChunkScheduler final : public RoundScheduler {
   void count_solver_work(SweeperStats& stats) const override {
     stats.sat_calls = work_.sat_calls;
     stats.conflicts = work_.conflicts;
+    stats.pair_ticks = work_.ticks;
     stats.solve_faults = work_.solve_faults;
     if (po_core_) {
       stats.sat_calls += po_core_->sat_calls();
       stats.conflicts += po_core_->conflicts();
+      stats.pair_ticks += po_core_->ticks();
       stats.solve_faults += po_core_->solve_faults();
     }
   }
@@ -177,6 +180,7 @@ void ChunkScheduler::process_chunk(const std::vector<sim::CandidatePair>& pairs,
       if (ps.inconsistent()) break;
     }
     cs.conflicts = ps.conflicts();
+    cs.ticks = ps.ticks();
     cs.sat_calls = ps.sat_calls();
     cs.solve_faults = ps.solve_faults();
   } catch (...) {
@@ -186,7 +190,7 @@ void ChunkScheduler::process_chunk(const std::vector<sim::CandidatePair>& pairs,
 }
 
 std::vector<PairOutcome> ChunkScheduler::decide(
-    const std::vector<sim::CandidatePair>& pairs) {
+    const std::vector<sim::CandidatePair>& pairs, RoundLink& link) {
   const std::size_t num_chunks = (pairs.size() + chunk_size_ - 1) / chunk_size_;
   const std::size_t num_shards =
       std::min<std::size_t>(params_.num_threads, num_chunks);
@@ -224,11 +228,17 @@ std::vector<PairOutcome> ChunkScheduler::decide(
   });
   pool_->run_stages(plan);
 
+  // The probe slices run between rounds here (the shards may share the
+  // probe's pool), so the round's ticks are published once, complete.
+  std::uint64_t round_ticks = 0;
   for (const ChunkStats& cs : chunk_stats) {
+    round_ticks += cs.ticks;
     work_.conflicts += cs.conflicts;
     work_.sat_calls += cs.sat_calls;
     work_.solve_faults += cs.solve_faults;
   }
+  work_.ticks += round_ticks;
+  link.pair_ticks.store(round_ticks, std::memory_order_relaxed);
   stats_.chunks += num_chunks;
   stats_.shards = std::max(stats_.shards, num_shards);
   SIMSWEEP_LOG_INFO("sweep round: %zu chunks on %zu shards", num_chunks,

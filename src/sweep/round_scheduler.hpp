@@ -28,8 +28,15 @@
 /// Both resimulate their counterexamples as they go (CexWord): a pair
 /// that a CEX found earlier in the same round (sequential) or chunk
 /// (chunked) already separates is disproved without a SAT call.
+///
+/// The round's PO probe paces itself by the pair ticks a scheduler
+/// publishes into its RoundLink, and raises the link's abandon flag once
+/// it refutes the miter. The sequential scheduler decides beside the
+/// probe and stops at that flag; the chunk scheduler decides between
+/// probe slices and only publishes its ticks.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -109,6 +116,20 @@ class CexWord {
   bool stale_ = false;
 };
 
+/// What a round's pair decisions share with the PO probe running beside
+/// them (DESIGN.md §2.5). `pair_ticks` is the round's pair work so far in
+/// propagation ticks; `pairs_done` is raised once it is final. `abandon`
+/// is raised when a probe slice refutes: the round's outcomes no longer
+/// matter. When no worker can run the probe, the sequential scheduler
+/// calls `between_pairs` after every pair, so the slices the ticks open
+/// run on the deciding thread, interleaved with the pairs.
+struct RoundLink {
+  std::atomic<std::uint64_t> pair_ticks{0};
+  std::atomic<bool> pairs_done{false};
+  std::atomic<bool> abandon{false};
+  std::function<void()> between_pairs;
+};
+
 class RoundScheduler {
  public:
   RoundScheduler() = default;
@@ -120,17 +141,18 @@ class RoundScheduler {
   /// the merge enters the loop's substitution map).
   virtual void replay_merge(aig::Lit repr, aig::Lit node) = 0;
 
-  /// Decides `pairs` (sorted by node id) against the round-start state.
-  /// Returns one outcome per pair, in pair order.
+  /// Decides `pairs` (sorted by node id) against the round-start state,
+  /// publishing the round's pair ticks into `link` as it goes. Returns one
+  /// outcome per pair, in pair order.
   virtual std::vector<PairOutcome> decide(
-      const std::vector<sim::CandidatePair>& pairs) = 0;
+      const std::vector<sim::CandidatePair>& pairs, RoundLink& link) = 0;
 
   /// The solver of the final PO pass, after the last round, when the
   /// loop's substitution map holds every merge.
   virtual PairSolver& po_core() = 0;
 
   /// Writes the solver work spent so far (sat_calls, conflicts,
-  /// solve_faults) into `stats`.
+  /// pair_ticks, solve_faults) into `stats`.
   virtual void count_solver_work(SweeperStats& stats) const = 0;
 };
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
 
 #include "aig/cex.hpp"
 #include "aig/rebuild.hpp"
@@ -36,145 +39,343 @@ sim::PatternBank make_init_bank(unsigned num_pis,
   return bank;
 }
 
-/// Outcome of one pass over the miter POs.
-struct PoPass {
-  Verdict verdict = Verdict::kUndecided;
-  std::optional<std::vector<bool>> cex;  ///< for kNotEquivalent
-  /// Probe work over the POs up to the refuting one (every open PO when
-  /// none refutes), so the totals do not depend on the pool size.
+/// Probe pacing (DESIGN.md §2.5). Slice 0 gives every open PO
+/// conflict_limit / kProbeSlice0Divisor conflicts; every later slice
+/// doubles that up to the round's cap and may start only once
+/// kProbeTickRatio × the round's pair ticks reach the probe ticks spent
+/// through the slice before it.
+constexpr std::int64_t kProbeSlice0Divisor = 1000;
+constexpr std::uint64_t kProbeTickRatio = 4;
+
+/// Solver work of a probe: solve entries, conflicts, propagation ticks.
+struct ProbeWork {
   std::size_t calls = 0;
   std::uint64_t conflicts = 0;
-  /// Faulted solve entries of every probed PO.
-  std::size_t solve_faults = 0;
+  std::uint64_t ticks = 0;
+
+  ProbeWork& operator+=(const ProbeWork& o) {
+    calls += o.calls;
+    conflicts += o.conflicts;
+    ticks += o.ticks;
+    return *this;
+  }
 };
 
-/// The PO pass, used two ways (DESIGN.md §2.5). With `core` it is the
-/// final pass: the open POs are proved in order on that solver, whose
-/// work its scheduler counts. Without it it is a probe: every open PO is
-/// checked on its own fresh PairSolver over a private copy of `subst`,
-/// the POs spread over `pool`, and the lowest-index SAT PO wins.
+/// One round's PO probe (DESIGN.md §2.5): every open PO gets one
+/// PairSolver for the whole round, and slice k resumes it up to a
+/// cumulative budget of min(base·2^k, cap) conflicts. Slice 0 always
+/// runs; slice k ≥ 1 runs iff kProbeTickRatio·T ≥ P(k−1), where T is the
+/// round's full pair ticks and P(k−1) the probe ticks through slice k−1.
+/// Within a slice the lowest-index SAT PO wins. The slice set, the winner
+/// and the counted work are therefore pure functions of the miter,
+/// however the slices interleave with the pair decisions.
+///
+/// The probe loops claim POs off a per-slice ticket. Whoever finishes a
+/// slice's last PO completes it: it counts the slice and either ends the
+/// probe (refuted, or nothing left to run) or opens the next slice's PO
+/// list behind the tick gate. A loop waits only on POs other loops have
+/// claimed, or on the pair decisions while they run.
+class ProbeRound {
+ public:
+  ProbeRound(const aig::Aig& miter, const aig::SubstitutionMap& subst,
+             unsigned round, std::int64_t conflict_limit,
+             const std::function<bool()>& out_of_time)
+      : miter_(miter), subst_(subst), out_of_time_(out_of_time) {
+    // One compressed copy serves every PO solver: resolve() on it never
+    // writes, so the loops share it.
+    subst_.compress();
+    pos_.reserve(miter.num_pos());  // engaged solvers must never move
+    for (aig::Lit po : miter.pos()) {
+      const aig::Lit r = subst_.resolve(po);
+      if (r == aig::kLitFalse) continue;
+      if (r == aig::kLitTrue) {
+        // Constant 1 under proved merges: every input refutes the miter.
+        refuted_ = true;
+        cex_.assign(miter.num_pis(), false);
+        finished_.store(true, std::memory_order_relaxed);
+        return;
+      }
+      pos_.emplace_back().lit = r;
+    }
+    if (pos_.empty()) {
+      finished_.store(true, std::memory_order_relaxed);
+      return;
+    }
+    const std::int64_t scale =
+        conflict_limit >= 0 ? conflict_limit : SweeperParams{}.conflict_limit;
+    std::int64_t cap = std::max<std::int64_t>(1, scale / 100)
+                       << std::min(round, 32u);
+    if (conflict_limit >= 0) cap = std::min(cap, conflict_limit);
+    std::vector<std::int64_t> budgets{std::min(
+        std::max<std::int64_t>(1, scale / kProbeSlice0Divisor), cap)};
+    while (budgets.back() < cap)
+      budgets.push_back(std::min(2 * budgets.back(), cap));
+    num_slices_ = budgets.size();
+    slices_ = std::make_unique<Slice[]>(num_slices_);
+    for (std::size_t k = 0; k < num_slices_; ++k) {
+      slices_[k].budget = budgets[k];
+      // complete() fills the lists on pool workers, where nothing may
+      // throw: no allocation there.
+      slices_[k].todo.reserve(pos_.size());
+    }
+    Slice& first = slices_[0];
+    for (std::size_t p = 0; p < pos_.size(); ++p) first.todo.push_back(p);
+    first.winner.store(pos_.size(), std::memory_order_relaxed);
+  }
+
+  // The probe loops and the link's callback hold `this`.
+  ProbeRound(const ProbeRound&) = delete;
+  ProbeRound& operator=(const ProbeRound&) = delete;
+
+  RoundLink& link() { return link_; }
+
+  /// Runs `decide` (the round's pair decisions) and the probe slices the
+  /// tick gate allows. With `beside`, the slices run on the pool's workers
+  /// while the caller decides; when that cannot be (no worker, one open
+  /// PO, the pool busy), the caller runs slice 0, then the pairs with
+  /// every slice their ticks open run between two pairs, then the slices
+  /// the final ticks allow. Without `beside` the slices run on the pool
+  /// before and after `decide` (the chunk scheduler, whose shards may
+  /// share the pool). `decide` is skipped once a slice has refuted.
+  void run(parallel::ThreadPool& pool, bool beside,
+           const std::function<void()>& decide) {
+    const auto host = [&] {
+      // However decide() ends, the gate then sees the final ticks, so no
+      // probe loop waits past it.
+      struct Done {
+        RoundLink& link;
+        ~Done() { link.pairs_done.store(true, std::memory_order_release); }
+      } done{link_};
+      if (!link_.abandon.load(std::memory_order_relaxed)) decide();
+    };
+    if (finished_.load(std::memory_order_relaxed)) {
+      if (!refuted_) host();
+      return;
+    }
+    // One loop per pool thread. Beside the pairs that is one loop more
+    // than workers: the caller takes it when it joins after its pairs, and
+    // helps with the slices left.
+    const std::size_t loops =
+        std::min<std::size_t>(pos_.size(), pool.concurrency());
+    if (beside && loops > 1) {
+      parallel::StagePlan plan;
+      plan.set_granular(true);
+      plan.stage(0, loops, [this](std::size_t) { loop(/*wait=*/true); });
+      if (pool.run_beside(plan, host)) return;
+    }
+    if (beside) {
+      link_.between_pairs = [this] {
+        if (!finished_.load(std::memory_order_relaxed) &&
+            gate(completed_.load(std::memory_order_relaxed)) == Gate::kOpen)
+          loop(/*wait=*/false);
+      };
+    }
+    run_loops(pool, beside ? 1 : loops);
+    host();
+    run_loops(pool, beside ? 1 : loops);
+  }
+
+  bool refuted() const { return refuted_; }
+  std::vector<bool> take_cex() { return std::move(cex_); }
+  /// Work of the slices run, over the POs up to the refuting one.
+  const ProbeWork& counted() const { return counted_; }
+  std::size_t slices_run() const { return slices_run_; }
+  std::size_t solve_faults() const {
+    std::size_t n = 0;
+    for (const Po& po : pos_)
+      if (po.solver) n += po.solver->solve_faults();
+    return n;
+  }
+
+ private:
+  struct Po {
+    aig::Lit lit = aig::kLitFalse;
+    std::optional<PairSolver> solver;
+    sat::Solver::Result result = sat::Solver::Result::kUnknown;
+    ProbeWork last;  ///< work of its latest slice
+    std::vector<bool> cex;
+  };
+  struct Slice {
+    std::int64_t budget = 0;        ///< cumulative conflicts per PO
+    std::vector<std::size_t> todo;  ///< indices into pos_
+    std::uint64_t ticks_before = 0; ///< P(k−1), fixed before it opens
+    std::atomic<std::size_t> ticket{0};
+    std::atomic<std::size_t> done{0};
+    std::atomic<std::size_t> winner{0};  ///< lowest SAT todo index
+  };
+  enum class Gate { kOpen, kWait, kShut };
+
+  /// Whether slice k may run: slice 0 always; slice k ≥ 1 once the pair
+  /// ticks pay for it, never once they are final and do not.
+  Gate gate(std::size_t k) const {
+    if (k == 0) return Gate::kOpen;
+    const bool final_ticks = link_.pairs_done.load(std::memory_order_acquire);
+    const std::uint64_t t = link_.pair_ticks.load(std::memory_order_relaxed);
+    if (kProbeTickRatio * t >= slices_[k].ticks_before) return Gate::kOpen;
+    return final_ticks ? Gate::kShut : Gate::kWait;
+  }
+
+  void run_loops(parallel::ThreadPool& pool, std::size_t loops) {
+    if (finished_.load(std::memory_order_relaxed)) return;
+    if (loops <= 1) {
+      loop(/*wait=*/false);
+      return;
+    }
+    parallel::StagePlan plan;
+    plan.set_granular(true);
+    plan.stage(0, loops, [this](std::size_t) { loop(/*wait=*/false); });
+    pool.run_stages(plan);
+  }
+
+  /// Runs slices until the probe ends. With `wait`, a closed gate is
+  /// waited out while the pairs run; without, the loop returns.
+  void loop(bool wait) {
+    unsigned idle = 0;
+    while (!finished_.load(std::memory_order_acquire) && !out_of_time_()) {
+      const std::size_t k = completed_.load(std::memory_order_acquire);
+      switch (gate(k)) {
+        case Gate::kShut:
+          finished_.store(true, std::memory_order_release);
+          return;
+        case Gate::kWait:
+          if (!wait) return;
+          pause(idle);
+          continue;
+        case Gate::kOpen:
+          break;
+      }
+      Slice& s = slices_[k];
+      const std::size_t i = s.ticket.fetch_add(1, std::memory_order_relaxed);
+      if (i >= s.todo.size()) {
+        pause(idle);  // the slice's last POs run on other loops
+        continue;
+      }
+      idle = 0;
+      probe(s, i);
+      if (s.done.fetch_add(1, std::memory_order_acq_rel) + 1 == s.todo.size())
+        complete(k);
+    }
+  }
+
+  static void pause(unsigned& idle) {
+    if (++idle < 64)
+      std::this_thread::yield();
+    else
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+
+  void probe(Slice& s, std::size_t i) {
+    // A PO above a refuting one is not run: its work would not count.
+    if (i > s.winner.load(std::memory_order_relaxed)) return;
+    Po& po = pos_[s.todo[i]];
+    po.last = {};
+    try {
+      if (!po.solver) po.solver.emplace(miter_, &subst_);
+      PairSolver& ps = *po.solver;
+      ps.set_interrupt([this, &s, i] {
+        return out_of_time_() || s.winner.load(std::memory_order_relaxed) < i;
+      });
+      const ProbeWork before{ps.sat_calls(), ps.conflicts(), ps.ticks()};
+      const std::int64_t spent = static_cast<std::int64_t>(ps.conflicts());
+      po.result = ps.prove_false(po.lit, std::max<std::int64_t>(
+                                             0, s.budget - spent));
+      po.last = {ps.sat_calls() - before.calls,
+                 ps.conflicts() - before.conflicts, ps.ticks() - before.ticks};
+      if (po.result != sat::Solver::Result::kSat) return;
+      po.cex = ps.model_cex();
+      std::size_t w = s.winner.load(std::memory_order_relaxed);
+      while (i < w && !s.winner.compare_exchange_weak(
+                          w, i, std::memory_order_relaxed)) {
+      }
+    } catch (...) {
+      // A worker failure must not unwind across the pool: this PO simply
+      // stays unknown.
+      po.result = sat::Solver::Result::kUnknown;
+    }
+  }
+
+  /// Called by the loop that finished slice k's last PO (the acq_rel
+  /// count on `done` makes every PO's result visible here).
+  void complete(std::size_t k) {
+    Slice& s = slices_[k];
+    const std::size_t w = s.winner.load(std::memory_order_relaxed);
+    ++slices_run_;
+    for (std::size_t i = 0; i < s.todo.size() && i <= w; ++i)
+      counted_ += pos_[s.todo[i]].last;
+    if (w < s.todo.size()) {
+      refuted_ = true;
+      cex_ = std::move(pos_[s.todo[w]].cex);
+      link_.abandon.store(true, std::memory_order_relaxed);
+      finished_.store(true, std::memory_order_release);
+      return;
+    }
+    if (k + 1 < num_slices_) {
+      Slice& next = slices_[k + 1];
+      for (std::size_t p : s.todo)
+        if (pos_[p].result == sat::Solver::Result::kUnknown)
+          next.todo.push_back(p);
+      next.ticks_before = counted_.ticks;
+      next.winner.store(next.todo.size(), std::memory_order_relaxed);
+      if (!next.todo.empty()) {
+        completed_.store(k + 1, std::memory_order_release);
+        return;
+      }
+    }
+    finished_.store(true, std::memory_order_release);
+  }
+
+  const aig::Aig& miter_;
+  aig::SubstitutionMap subst_;
+  const std::function<bool()>& out_of_time_;
+  std::vector<Po> pos_;
+  std::unique_ptr<Slice[]> slices_;
+  std::size_t num_slices_ = 0;
+  RoundLink link_;
+  /// Slices completed; slice `completed_` is the one open or gated.
+  std::atomic<std::size_t> completed_{0};
+  std::atomic<bool> finished_{false};
+  // Written by completing loops only (each after the previous completion
+  // through completed_), read by the caller after the loops joined.
+  bool refuted_ = false;
+  std::vector<bool> cex_;
+  ProbeWork counted_;
+  std::size_t slices_run_ = 0;
+};
+
+/// The final PO pass, after the last round: the open POs are proved in
+/// order on the scheduler's core, whose work the scheduler counts.
 /// kNotEquivalent carries the refuting model; kEquivalent means every PO
 /// is UNSAT; anything else is kUndecided.
-PoPass check_pos(const aig::Aig& miter, const aig::SubstitutionMap& subst,
-                 std::int64_t budget, PairSolver* core,
-                 parallel::ThreadPool& pool,
-                 const std::function<bool()>& out_of_time) {
-  PoPass pass;
+Verdict prove_pos(const aig::Aig& miter, const aig::SubstitutionMap& subst,
+                  std::int64_t budget, PairSolver& core,
+                  const std::function<bool()>& out_of_time,
+                  std::optional<std::vector<bool>>& cex) {
   std::vector<aig::Lit> open;
   for (aig::Lit po : miter.pos()) {
     const aig::Lit r = subst.resolve(po);
     if (r == aig::kLitFalse) continue;
     if (r == aig::kLitTrue) {
       // Constant 1 under proved merges: every input refutes the miter.
-      pass.verdict = Verdict::kNotEquivalent;
-      pass.cex.emplace(miter.num_pis(), false);
-      return pass;
+      cex.emplace(miter.num_pis(), false);
+      return Verdict::kNotEquivalent;
     }
     open.push_back(r);
   }
-  if (open.empty()) {
-    pass.verdict = Verdict::kEquivalent;
-    return pass;
-  }
-
-  if (core != nullptr) {
-    bool all_proved = true;
-    for (aig::Lit r : open) {
-      if (out_of_time()) return pass;
-      switch (core->prove_false(r, budget)) {
-        case sat::Solver::Result::kUnsat:
-          break;  // this PO is constant 0
-        case sat::Solver::Result::kSat:
-          pass.verdict = Verdict::kNotEquivalent;
-          pass.cex = core->model_cex();
-          return pass;
-        case sat::Solver::Result::kUnknown:
-          all_proved = false;
-          break;
-      }
-    }
-    if (all_proved) pass.verdict = Verdict::kEquivalent;
-    return pass;
-  }
-
-  struct Probe {
-    sat::Solver::Result result = sat::Solver::Result::kUnknown;
-    std::vector<bool> cex;
-    std::size_t calls = 0;
-    std::uint64_t conflicts = 0;
-    std::size_t solve_faults = 0;
-  };
-  std::vector<Probe> probes(open.size());
-  // Lowest open-PO index found SAT so far. A probe above it is abandoned
-  // (its work is not counted); a probe below it always runs to the end,
-  // so the winner and the counted work are those of a sequential pass.
-  std::atomic<std::size_t> winner{open.size()};
-  // One probe loop per pool thread: it claims POs in index order off a
-  // shared ticket and keeps one private copy of the map for all of them
-  // (resolve() path-compresses, so the map cannot be shared).
-  std::atomic<std::size_t> ticket{0};
-  const std::size_t loops =
-      std::min<std::size_t>(open.size(), pool.stats().workers + 1);
-  const auto probe_loop = [&](std::size_t) {
-    std::optional<aig::SubstitutionMap> local;
-    for (;;) {
-      const std::size_t k = ticket.fetch_add(1, std::memory_order_relaxed);
-      if (k >= open.size() || k > winner.load(std::memory_order_relaxed) ||
-          out_of_time())
-        return;
-      Probe& probe = probes[k];
-      try {
-        if (!local) local.emplace(subst);
-        PairSolver ps(miter, &*local);
-        ps.set_interrupt([&] {
-          return out_of_time() || winner.load(std::memory_order_relaxed) < k;
-        });
-        probe.result = ps.prove_false(open[k], budget);
-        probe.calls = ps.sat_calls();
-        probe.conflicts = ps.conflicts();
-        probe.solve_faults = ps.solve_faults();
-        if (probe.result != sat::Solver::Result::kSat) continue;
-        probe.cex = ps.model_cex();
-        std::size_t w = winner.load(std::memory_order_relaxed);
-        while (k < w && !winner.compare_exchange_weak(
-                            w, k, std::memory_order_relaxed)) {
-        }
-      } catch (...) {
-        // A worker failure must not unwind across the pool: this PO
-        // simply stays unknown.
-        probe.result = sat::Solver::Result::kUnknown;
-      }
-    }
-  };
-  if (loops == 1) {
-    // One loop (a lone open PO, or a pool without workers) runs on the
-    // calling thread: handing it to a worker gains nothing and grows
-    // that worker's malloc arena (measured as peak RSS in the batch
-    // service, whose sweep pool otherwise never allocates).
-    probe_loop(0);
-  } else {
-    parallel::StagePlan plan;
-    plan.set_granular(true);
-    plan.stage(0, loops, probe_loop);
-    pool.run_stages(plan);
-  }
-
-  const std::size_t w = winner.load(std::memory_order_relaxed);
   bool all_proved = true;
-  for (std::size_t k = 0; k < probes.size(); ++k) {
-    pass.solve_faults += probes[k].solve_faults;
-    if (k > w) continue;
-    pass.calls += probes[k].calls;
-    pass.conflicts += probes[k].conflicts;
-    all_proved = all_proved && probes[k].result == sat::Solver::Result::kUnsat;
+  for (aig::Lit r : open) {
+    if (out_of_time()) return Verdict::kUndecided;
+    switch (core.prove_false(r, budget)) {
+      case sat::Solver::Result::kUnsat:
+        break;  // this PO is constant 0
+      case sat::Solver::Result::kSat:
+        cex = core.model_cex();
+        return Verdict::kNotEquivalent;
+      case sat::Solver::Result::kUnknown:
+        all_proved = false;
+        break;
+    }
   }
-  if (w < probes.size()) {
-    pass.verdict = Verdict::kNotEquivalent;
-    pass.cex = std::move(probes[w].cex);
-  } else if (all_proved) {
-    pass.verdict = Verdict::kEquivalent;
-  }
-  return pass;
+  return all_proved ? Verdict::kEquivalent : Verdict::kUndecided;
 }
 
 /// The sequential scheduler (round_scheduler.hpp): one long-lived SAT
@@ -189,19 +390,27 @@ class SequentialScheduler final : public RoundScheduler {
         conflict_limit_(conflict_limit),
         out_of_time_(std::move(out_of_time)),
         core_(miter) {
-    core_.set_interrupt(out_of_time_);
+    core_.set_interrupt([this] {
+      return out_of_time_() ||
+             (abandon_ != nullptr && abandon_->load(std::memory_order_relaxed));
+    });
   }
 
   void replay_merge(aig::Lit repr, aig::Lit node) override {
     core_.assert_equal(repr, node);
   }
 
-  std::vector<PairOutcome> decide(
-      const std::vector<sim::CandidatePair>& pairs) override {
+  std::vector<PairOutcome> decide(const std::vector<sim::CandidatePair>& pairs,
+                                  RoundLink& link) override {
     std::vector<PairOutcome> outcomes(pairs.size());
     CexWord cexes(miter_);
+    const std::uint64_t start = core_.ticks();
+    abandon_ = &link.abandon;
     for (std::size_t p = 0; p < pairs.size(); ++p) {
-      if (out_of_time_()) break;
+      link.pair_ticks.store(core_.ticks() - start, std::memory_order_relaxed);
+      if (link.between_pairs) link.between_pairs();
+      if (out_of_time_() || link.abandon.load(std::memory_order_relaxed))
+        break;
       if (cexes.separates(pairs[p])) {
         outcomes[p].kind = PairOutcome::Kind::kDistinct;
         outcomes[p].via_cex = true;
@@ -225,6 +434,8 @@ class SequentialScheduler final : public RoundScheduler {
       }
       if (core_.inconsistent()) break;
     }
+    link.pair_ticks.store(core_.ticks() - start, std::memory_order_relaxed);
+    abandon_ = nullptr;
     return outcomes;
   }
 
@@ -233,6 +444,7 @@ class SequentialScheduler final : public RoundScheduler {
   void count_solver_work(SweeperStats& stats) const override {
     stats.sat_calls = core_.sat_calls();
     stats.conflicts = core_.conflicts();
+    stats.pair_ticks = core_.ticks();
     stats.solve_faults = core_.solve_faults();
   }
 
@@ -240,6 +452,8 @@ class SequentialScheduler final : public RoundScheduler {
   const aig::Aig& miter_;
   const std::int64_t conflict_limit_;
   const std::function<bool()> out_of_time_;
+  /// The running round's abandon flag, polled by the core's interrupt.
+  const std::atomic<bool>* abandon_ = nullptr;
   PairSolver core_;
 };
 
@@ -257,11 +471,21 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
   };
   std::unique_ptr<RoundScheduler> scheduler;
   std::size_t probe_faults = 0;
-  // sat_calls, conflicts and solve_faults so far; the probes' faulted
-  // solve entries count with the schedulers'.
+  // The pair work before a round that a probe refuted: how far that
+  // round's pairs got depends on timing, so none of it is counted.
+  std::optional<SweeperStats> refuted_round;
+  // sat_calls, conflicts, pair_ticks and solve_faults so far; the probes'
+  // faulted solve entries count with the schedulers'.
   auto count_work = [&](SweeperStats& s) {
-    if (scheduler) scheduler->count_solver_work(s);
-    s.solve_faults += probe_faults;
+    SweeperStats pair_work;
+    if (refuted_round)
+      pair_work = *refuted_round;
+    else if (scheduler)
+      scheduler->count_solver_work(pair_work);
+    s.sat_calls = pair_work.sat_calls;
+    s.conflicts = pair_work.conflicts;
+    s.pair_ticks = pair_work.pair_ticks;
+    s.solve_faults = pair_work.solve_faults + probe_faults;
   };
   auto finish = [&](Verdict v) {
     if (v == Verdict::kNotEquivalent && result.cex) {
@@ -332,20 +556,7 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
     start_round = resume->next_round;
   }
 
-  // PO probe budget (DESIGN.md §2.5): conflict_limit/100 per open PO
-  // before the first round, doubling every round up to conflict_limit.
-  // A probe is skipped once the probes have spent more than the pair
-  // sweep plus one base pass, so an equivalent residue pays at most about
-  // twice its pair-sweep conflicts for them.
   const std::int64_t limit = params_.conflict_limit;
-  const std::int64_t probe_base = std::max<std::int64_t>(
-      1, (limit >= 0 ? limit : SweeperParams{}.conflict_limit) / 100);
-  const auto probe_budget = [&](unsigned round) {
-    const std::int64_t b = probe_base << std::min(round, 32u);
-    return limit >= 0 ? std::min(b, limit) : b;
-  };
-  const std::uint64_t base_pass =
-      static_cast<std::uint64_t>(probe_base) * miter.num_pos();
   parallel::ThreadPool& probe_pool = params_.pool != nullptr
                                          ? *params_.pool
                                          : parallel::ThreadPool::global();
@@ -362,21 +573,24 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
                 return x.node < y.node;
               });
 
-    SweeperStats work;
-    count_work(work);
-    if (stats.probe_conflicts <= work.conflicts + base_pass) {
-      PoPass probe = check_pos(miter, subst, probe_budget(round), nullptr,
-                               probe_pool, out_of_time);
-      stats.probe_calls += probe.calls;
-      stats.probe_conflicts += probe.conflicts;
-      probe_faults += probe.solve_faults;
-      if (probe.verdict == Verdict::kNotEquivalent) {
-        result.cex = std::move(probe.cex);
-        return finish(Verdict::kNotEquivalent);
-      }
+    // The round's PO probe runs beside its pair decisions (DESIGN.md
+    // §2.5); the chunk scheduler runs it between them.
+    SweeperStats round_start;
+    scheduler->count_solver_work(round_start);
+    ProbeRound probe(miter, subst, round, limit, out_of_time);
+    std::vector<PairOutcome> outcomes;
+    probe.run(probe_pool, /*beside=*/!chunked,
+              [&] { outcomes = scheduler->decide(pairs, probe.link()); });
+    stats.probe_calls += probe.counted().calls;
+    stats.probe_conflicts += probe.counted().conflicts;
+    stats.probe_ticks += probe.counted().ticks;
+    stats.probe_slices += probe.slices_run();
+    probe_faults += probe.solve_faults();
+    if (probe.refuted()) {
+      refuted_round = round_start;
+      result.cex = probe.take_cex();
+      return finish(Verdict::kNotEquivalent);
     }
-
-    const std::vector<PairOutcome> outcomes = scheduler->decide(pairs);
 
     // Round barrier: apply every attempted outcome in pair order, so EC
     // state, substitution map and counters evolve the same way for any
@@ -463,10 +677,8 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
 
   // Final PO pass on the substituted miter.
   if (out_of_time()) return finish(Verdict::kUndecided);
-  PoPass final_pass = check_pos(miter, subst, limit, &scheduler->po_core(),
-                                probe_pool, out_of_time);
-  result.cex = std::move(final_pass.cex);
-  return finish(final_pass.verdict);
+  return finish(prove_pos(miter, subst, limit, scheduler->po_core(),
+                          out_of_time, result.cex));
 }
 
 }  // namespace simsweep::sweep

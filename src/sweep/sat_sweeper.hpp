@@ -11,19 +11,23 @@
 /// SAT. The engine hands its reduced, undecided miters to this checker,
 /// mirroring the paper's GPU+ABC integration.
 ///
-/// Refuting early, as ABC does: before every round a bounded probe
-/// checks each open PO on its own fresh solver (the POs spread over a
-/// pool), so a refutable miter does not wait behind hundreds of internal
-/// proofs for its final PO query. Within a round, every counterexample is
-/// resimulated on the miter at once, and a later pair it already
-/// separates is disproved without a SAT call. Every counterexample is
-/// replayed on the miter before kNotEquivalent is returned.
+/// Refuting early, as ABC does: every round runs a bounded probe of each
+/// open PO beside its pair decisions, so a refutable miter does not wait
+/// behind hundreds of internal proofs for its final PO query. The probe
+/// works in slices of doubling conflict budgets on one solver per PO,
+/// and a slice after the first starts only while the probe's propagation
+/// ticks stay within a fixed multiple of the round's pair ticks. Within a
+/// round, every counterexample is resimulated on the miter at once, and a
+/// later pair it already separates is disproved without a SAT call.
+/// Every counterexample is replayed on the miter before kNotEquivalent is
+/// returned.
 ///
 /// There is one round loop (SatSweeper::check_miter). Only the step that
 /// decides a round's sorted pairs depends on SweeperParams::num_threads:
 /// a long-lived sequential solver or hermetic chunks on shard loops
-/// (round_scheduler.hpp). Outcomes are applied at the round barrier in
-/// pair order either way.
+/// (round_scheduler.hpp). The PO probe runs beside the first's pair
+/// decisions, and before and after the second's. Outcomes are applied at
+/// the round barrier in pair order either way.
 
 #include <atomic>
 #include <cstdint>
@@ -116,8 +120,10 @@ struct SweeperParams {
   /// pool. A batch service passes ONE pool here so concurrent jobs
   /// contend for a single worker set (the pool serializes whole staged
   /// jobs) instead of every job spawning its own threads and
-  /// oversubscribing the host. Caller keeps the pool alive for the
-  /// duration of the check.
+  /// oversubscribing the host. A sequential sweep holds the pool for each
+  /// round while the probe runs beside the pair decisions (DESIGN.md
+  /// §2.5); one that finds the pool busy probes on its calling thread.
+  /// Caller keeps the pool alive for the duration of the check.
   parallel::ThreadPool* pool = nullptr;
   /// Cooperative cancellation (portfolio use): checked between SAT calls.
   /// Annotation audit: the only cross-thread cell of a sweep — written by
@@ -155,10 +161,13 @@ struct ShardStats {
 /// Always-published SweeperStats rows: X(type, field, default, catalog
 /// constant). Each row is the only declaration of its counter: it
 /// generates the struct field and its `sat_sweeper.*` gauge in
-/// portfolio::publish_sweeper_stats(). `sat_calls` and `conflicts` count
-/// pair queries and the final PO pass; the PO probes are counted apart in
-/// `probe_calls` and `probe_conflicts`, over the POs up to the refuting
-/// one (all open POs when none refutes). `pairs_cex_resolved` counts the
+/// portfolio::publish_sweeper_stats(). `sat_calls`, `conflicts` and
+/// `pair_ticks` (propagations) count pair queries and the final PO pass;
+/// the PO probes are counted apart in `probe_calls`, `probe_conflicts`
+/// and `probe_ticks`, and `probe_slices` counts the probe slices run (all
+/// rounds). A refuting slice counts its POs up to the refuting one, and
+/// the pair work of a round that a probe refuted is left out of every
+/// counter (DESIGN.md §2.5). `pairs_cex_resolved` counts the
 /// disproved pairs that an earlier counterexample of the same round
 /// separated (no SAT call). `solve_faults` counts solve entries failed by
 /// the "sat.solve" injection site (DESIGN.md §2.4), probes included; each
@@ -175,6 +184,9 @@ struct ShardStats {
   X(std::size_t, solve_faults, 0, obs::metric::kSweeperSolveFaults)         \
   X(std::size_t, probe_calls, 0, obs::metric::kSweeperProbeCalls)           \
   X(std::uint64_t, probe_conflicts, 0, obs::metric::kSweeperProbeConflicts) \
+  X(std::uint64_t, pair_ticks, 0, obs::metric::kSweeperPairTicks)           \
+  X(std::uint64_t, probe_ticks, 0, obs::metric::kSweeperProbeTicks)         \
+  X(std::size_t, probe_slices, 0, obs::metric::kSweeperProbeSlices)         \
   X(std::size_t, pairs_cex_resolved, 0,                                     \
     obs::metric::kSweeperPairsCexResolved)                                  \
   X(std::size_t, cex_replay_failures, 0,                                    \
@@ -192,9 +204,10 @@ struct SweeperStats {
   // every count above plus chunks and pairs_sim_resolved is a pure
   // function of the miter and the parameters other than num_threads and
   // pool — identical across thread counts and across runs, unless the
-  // deadline or cancel flag cut the sweep short. The probe counters and
-  // the probe's counterexample are deterministic on both schedulers and
-  // do not depend on the pool size. shards echoes
+  // deadline or cancel flag cut the sweep short. On both schedulers the
+  // verdict, the counterexample and every count above (the probe and
+  // tick rows included) do not depend on the pool size or on how the
+  // probe interleaves with the pair decisions. shards echoes
   // min(num_threads, chunks of the widest round); steals and the
   // per-shard breakdown are scheduling telemetry and may vary.
   // seconds/busy_seconds are wall time.

@@ -483,7 +483,7 @@ TEST(CkptResume, CorruptedSnapshotsFallBackToSoundFreshRun) {
 
   if (leg1.checkpoint_writes > 0) {
     // Bit-flip whatever snapshots the run left behind.
-    for (const std::string f :
+    for (const std::string& f :
          {p.checkpoint_path, p.checkpoint_path + ".prev"}) {
       std::vector<std::uint8_t> bytes = read_bytes(f);
       if (bytes.empty()) continue;

@@ -317,7 +317,9 @@ TEST(FaultRecovery, ExhaustedRetriesAbandonToUndecidedNeverUnsound) {
   EXPECT_GT(scoped.fires(fault::sites::kExhaustiveSimtAlloc), 0u);
   EXPECT_GT(r.report.count(obs::metric::kDegradeUnitsAbandoned), 0u);
   // The abandoned residue remains in the miter for a downstream checker.
-  if (r.verdict == Verdict::kUndecided) EXPECT_GT(r.reduced.num_ands(), 0u);
+  if (r.verdict == Verdict::kUndecided) {
+    EXPECT_GT(r.reduced.num_ands(), 0u);
+  }
 }
 
 TEST(Governor, MemoryBudgetDenialsDegradeInsteadOfAborting) {
@@ -392,6 +394,49 @@ TEST(FaultRecovery, LedgerFittingOneLaneButNotAllIsRecoveredByTheLadder) {
   EXPECT_EQ(tight.charged_bytes(), 0u);
 }
 
+TEST(Governor, DenialThatHalvingCannotShrinkSkipsToTheNextRung) {
+  // A one-window batch whose E is capped by its truth-table length
+  // charges the same table under every M: halving M after a ledger denial
+  // would only be denied again, so the ladder goes straight past rung 1
+  // (here to abandoning, since one window cannot be split).
+  const aig::Aig miter = aig::make_miter(gen::array_multiplier(4),
+                                         gen::wallace_multiplier(4));
+  std::vector<aig::Var> pis(miter.num_pis());
+  for (unsigned i = 0; i < miter.num_pis(); ++i) pis[i] = i + 1;
+  std::vector<window::CheckItem> items;
+  for (std::uint32_t i = 0; i < miter.num_pos(); ++i)
+    items.push_back(window::CheckItem{miter.po(i), aig::kLitFalse, i});
+  auto w = window::build_window(miter, pis, std::move(items));
+  ASSERT_TRUE(w);
+  const std::size_t num_items = w->items.size();
+  std::vector<window::Window> windows;
+  windows.push_back(std::move(*w));
+
+  exhaustive::Params sim;
+  sim.memory_words = std::size_t{1} << 17;
+  const exhaustive::BatchResult free_run =
+      exhaustive::check_batch(miter, windows, sim);
+  ASSERT_EQ(free_run.failure, exhaustive::BatchFailure::kNone);
+  ASSERT_EQ(free_run.entry_words, windows[0].tt_words());
+  ASSERT_LE(free_run.table_words, sim.memory_words / 2);
+
+  fault::MemoryLedger tight(free_run.table_words * sizeof(std::uint64_t) - 1);
+  engine::EngineParams p;
+  p.memory_words = sim.memory_words;
+  engine::detail::EngineContext ctx{p,  miter,   {}, {}, {}, false, {},
+                                    {true, true, true}, nullptr, {}, &tight,
+                                    {}, {}};
+  ctx.degrade.memory_words = p.memory_words;
+  const engine::detail::LadderOutcome out =
+      engine::detail::run_batch_with_ladder(ctx, miter, windows, sim);
+  EXPECT_FALSE(out.cancelled);
+  EXPECT_EQ(ctx.degrade.memory_halvings, 0u);
+  EXPECT_EQ(ctx.degrade.memory_words, p.memory_words);
+  EXPECT_EQ(tight.denials(), 1u);
+  EXPECT_EQ(out.items_abandoned, num_items);
+  EXPECT_EQ(tight.charged_bytes(), 0u);
+}
+
 TEST(Governor, SharedLedgerIsChargedAcrossRuns) {
   const aig::Aig a = gen::array_multiplier(3);
   const aig::Aig b = gen::wallace_multiplier(3);
@@ -445,8 +490,9 @@ TEST(FaultRecovery, SatSolveFaultsActLikeConflictLimitExhaustion) {
     plan.on_hit(fault::sites::kSatSolve, 1, /*fires=*/0);  // unlimited
     fault::ScopedFaultPlan scoped(plan);
     const sweep::SweepResult r = sweep::SatSweeper().check_miter(miter);
-    if (scoped.fires(fault::sites::kSatSolve) > 0)
+    if (scoped.fires(fault::sites::kSatSolve) > 0) {
       EXPECT_EQ(r.verdict, Verdict::kUndecided);
+    }
   }
 }
 

@@ -12,11 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/random.hpp"
+#include "fault/fault.hpp"
 
 namespace simsweep::parallel {
 namespace {
@@ -291,6 +295,87 @@ TEST(StagePlan, GlobalParallelStagesWrapper) {
   plan.stage(0, 512, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_TRUE(parallel_stages(plan));
   EXPECT_EQ(count.load(), 512);
+}
+
+/// Polls `flag` for up to ten seconds (a failing test must not hang).
+bool await(const std::atomic<bool>& flag) {
+  for (int i = 0; i < 100000 && !flag.load(); ++i)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  return flag.load();
+}
+
+TEST(StagePlan, RunBesideOverlapsTheHostTaskWithThePlan) {
+  // The workers start on the plan while the caller runs its host task; the
+  // host here only returns once a worker ran a plan item, and every item
+  // runs exactly once.
+  ThreadPool pool(2);
+  std::atomic<bool> item_ran{false};
+  std::atomic<int> items{0};
+  StagePlan plan;
+  plan.set_granular(true);
+  plan.stage(0, 4, [&](std::size_t) {
+    items.fetch_add(1);
+    item_ran.store(true);
+  });
+  bool host_saw_item = false;
+  ASSERT_TRUE(pool.run_beside(plan, [&] { host_saw_item = await(item_ran); }));
+  EXPECT_TRUE(host_saw_item);
+  EXPECT_EQ(items.load(), 4);
+}
+
+TEST(StagePlan, RunBesideDeclinesWithoutWorkersOrWhenBusy) {
+  StagePlan plan;
+  plan.set_granular(true);
+  std::atomic<int> items{0};
+  plan.stage(0, 2, [&](std::size_t) { items.fetch_add(1); });
+  bool host_ran = false;
+  {
+    // A pool whose only worker failed to spawn runs neither.
+    fault::FaultPlan spawn;
+    spawn.on_hit(fault::sites::kPoolSpawn, 1);
+    std::unique_ptr<ThreadPool> lone;
+    {
+      fault::ScopedFaultPlan scoped(spawn);
+      lone = std::make_unique<ThreadPool>(1);
+    }
+    ASSERT_EQ(lone->concurrency(), 1u);
+    EXPECT_FALSE(lone->run_beside(plan, [&] { host_ran = true; }));
+  }
+  {
+    // Another client's job holds the pool: declined at once, no waiting.
+    ThreadPool pool(1);
+    std::atomic<bool> holding{false};
+    std::atomic<bool> release{false};
+    StagePlan busy;
+    busy.set_granular(true);
+    busy.stage(0, 1, [&](std::size_t) {
+      holding.store(true);
+      await(release);
+    });
+    std::thread other([&] { pool.run_stages(busy); });
+    ASSERT_TRUE(await(holding));
+    EXPECT_FALSE(pool.run_beside(plan, [&] { host_ran = true; }));
+    release.store(true);
+    other.join();
+    // Free again: now it runs.
+    EXPECT_TRUE(pool.run_beside(plan, [] {}));
+    EXPECT_EQ(items.load(), 2);
+  }
+  EXPECT_FALSE(host_ran);
+}
+
+TEST(StagePlan, RunBesideRethrowsTheHostsExceptionAfterTheJoin) {
+  ThreadPool pool(2);
+  std::atomic<int> items{0};
+  StagePlan plan;
+  plan.set_granular(true);
+  plan.stage(0, 8, [&](std::size_t) { items.fetch_add(1); });
+  EXPECT_THROW(pool.run_beside(plan, [] { throw std::runtime_error("host"); }),
+               std::runtime_error);
+  EXPECT_EQ(items.load(), 8);  // joined before the rethrow
+  std::atomic<int> after{0};
+  pool.parallel_for(0, 1000, [&](std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 1000);
 }
 
 TEST(ThreadPoolStress, MixedConcurrentSubmitters) {

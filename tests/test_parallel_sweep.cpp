@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -25,6 +26,7 @@
 
 #include "aig/aig_analysis.hpp"
 #include "aig/cex.hpp"
+#include "common/timer.hpp"
 #include "fault/fault.hpp"
 #include "gen/arith.hpp"
 #include "gen/suite.hpp"
@@ -49,14 +51,16 @@ using aig::Lit;
 using CoreStats =
     std::tuple<Verdict, std::size_t, std::size_t, std::size_t, std::size_t,
                std::uint64_t, std::size_t, std::size_t, std::size_t,
-               std::size_t, std::uint64_t, std::size_t>;
+               std::size_t, std::uint64_t, std::size_t, std::uint64_t,
+               std::uint64_t, std::size_t>;
 
 CoreStats core_stats(const sweep::SweepResult& r) {
   const sweep::SweeperStats& s = r.stats;
-  return {r.verdict,         s.sat_calls,       s.pairs_proved,
-          s.pairs_disproved, s.pairs_undecided, s.conflicts,
-          s.solve_faults,    s.chunks,          s.pairs_sim_resolved,
-          s.probe_calls,     s.probe_conflicts, s.pairs_cex_resolved};
+  return {r.verdict,          s.sat_calls,       s.pairs_proved,
+          s.pairs_disproved,  s.pairs_undecided, s.conflicts,
+          s.solve_faults,     s.chunks,          s.pairs_sim_resolved,
+          s.probe_calls,      s.probe_conflicts, s.pairs_cex_resolved,
+          s.pair_ticks,       s.probe_ticks,     s.probe_slices};
 }
 
 /// A miter the structural front end cannot solve: array vs Wallace
@@ -196,7 +200,9 @@ TEST(ParallelSweep, EmptyPairListReportsZeroShards) {
   EXPECT_EQ(r.verdict, Verdict::kNotEquivalent);
   // A constant-true miter PO is disproved structurally; when a concrete
   // pattern is materialized it must be a real witness.
-  if (r.cex) EXPECT_NE(a.evaluate(*r.cex), b.evaluate(*r.cex));
+  if (r.cex) {
+    EXPECT_NE(a.evaluate(*r.cex), b.evaluate(*r.cex));
+  }
   EXPECT_EQ(r.stats.shards, 0u);
   EXPECT_TRUE(r.stats.shard.empty());
 }
@@ -379,6 +385,13 @@ Aig mutant_miter(const char* family, std::uint64_t mutant_seed) {
                          testutil::mutate(c.optimized, mutant_seed));
 }
 
+/// Table II case `family` at doublings=0, original against optimized: an
+/// equivalent raw miter with many POs, no engine in front.
+Aig equivalent_miter(const char* family) {
+  const gen::BenchCase c = gen::make_case(family, {.doublings = 0});
+  return aig::make_miter(c.original, c.optimized);
+}
+
 /// A pool of `size` threads, the calling thread included.
 std::unique_ptr<parallel::ThreadPool> pool_of(unsigned size) {
   if (size > 1) return std::make_unique<parallel::ThreadPool>(size - 1);
@@ -408,13 +421,22 @@ TEST(SweepProbe, RefutesMutatedHypWithoutPairQueries) {
 }
 
 TEST(SweepProbe, IdenticalAcrossPoolSizesAndRuns) {
-  // Each PO is probed on a fresh solver and only the POs up to the
-  // refuting one are counted, so the verdict, the counterexample and the
-  // probe counters do not depend on the pool or the interleaving.
-  for (const auto& [family, seed] :
-       {std::pair{"hyp", 42}, std::pair{"multiplier", 2}}) {
-    SCOPED_TRACE(family);
-    const Aig m = mutant_miter(family, seed);
+  // The probe's slice set depends only on the round's final pair ticks,
+  // each PO keeps its own solver for every slice, and a refuting slice
+  // counts its POs up to the refuting one. So the verdict, the
+  // counterexample and every counter (the tick rows included) do not
+  // depend on the pool, on whether the probe runs beside the pairs or
+  // between them on the calling thread, or on the interleaving.
+  struct Case {
+    const char* family;
+    std::int64_t mutant_seed;  ///< -1: the equivalent pair
+  };
+  for (const Case& c : {Case{"hyp", 42}, Case{"multiplier", 2},
+                        Case{"multiplier", -1}}) {
+    SCOPED_TRACE(std::string(c.family) + "#" + std::to_string(c.mutant_seed));
+    const bool equivalent = c.mutant_seed < 0;
+    const Aig m = equivalent ? equivalent_miter(c.family)
+                             : mutant_miter(c.family, c.mutant_seed);
     std::optional<sweep::SweepResult> first;
     for (const unsigned size : {1u, 2u, 4u}) {
       const std::unique_ptr<parallel::ThreadPool> pool = pool_of(size);
@@ -422,12 +444,17 @@ TEST(SweepProbe, IdenticalAcrossPoolSizesAndRuns) {
       p.pool = pool.get();
       for (int rep = 0; rep < 2; ++rep) {
         const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(m);
-        ASSERT_EQ(r.verdict, Verdict::kNotEquivalent);
+        ASSERT_EQ(r.verdict, equivalent ? Verdict::kEquivalent
+                                        : Verdict::kNotEquivalent);
         if (!first) {
           first = r;
-          // The refuting PO is not the first open one: the counters
-          // cover a real prefix of the pass.
+          // Many open POs, and on a mutant the refuting PO is not the
+          // first one: the counters cover a real prefix of the probe.
           EXPECT_GT(r.stats.probe_calls, 1u);
+          EXPECT_GT(r.stats.probe_ticks, 0u);
+          if (equivalent) {
+            EXPECT_GT(r.stats.pair_ticks, 0u);
+          }
           continue;
         }
         EXPECT_EQ(r.cex, first->cex) << "pool " << size << " rep " << rep;
@@ -438,11 +465,89 @@ TEST(SweepProbe, IdenticalAcrossPoolSizesAndRuns) {
   }
 }
 
+TEST(SweepProbe, ProbeWorkIsPacedByPairWork) {
+  // A slice after the first starts only while the probe's ticks stay
+  // within kProbeTickRatio (4, DESIGN.md §2.5) times the round's pair
+  // ticks. Equivalent multiplier: many open POs, a cheap pair round, so
+  // slice 0 (conflict_limit/1000 conflicts per PO) is all the pair work
+  // pays for. Slice 0 is reproduced here on fresh solvers: its ticks are
+  // deterministic.
+  const Aig m = equivalent_miter("multiplier");
+  const sweep::SweeperParams p;
+  const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(m);
+  ASSERT_EQ(r.verdict, Verdict::kEquivalent);
+
+  const aig::SubstitutionMap none(m.num_nodes());
+  std::uint64_t slice0_ticks = 0;
+  std::uint64_t slice0_conflicts = 0;
+  std::size_t open = 0;
+  for (const Lit po : m.pos()) {
+    if (po == aig::kLitFalse) continue;
+    aig::SubstitutionMap local = none;
+    sweep::PairSolver ps(m, &local);
+    ps.prove_false(po, p.conflict_limit / 1000);
+    slice0_ticks += ps.ticks();
+    slice0_conflicts += ps.conflicts();
+    ++open;
+  }
+  ASSERT_GT(open, 1u);
+  EXPECT_LE(r.stats.probe_ticks, slice0_ticks + 4 * r.stats.pair_ticks);
+  // The gate held: slice 0 is the only slice, and its work is exactly the
+  // fresh solvers' above (a tenth of the per-PO cap an unpaced probe would
+  // have spent).
+  EXPECT_EQ(r.stats.probe_slices, 1u);
+  EXPECT_EQ(r.stats.probe_ticks, slice0_ticks);
+  EXPECT_EQ(r.stats.probe_conflicts, slice0_conflicts);
+  EXPECT_EQ(r.stats.probe_calls, open);
+  EXPECT_GT(slice0_ticks, 4 * r.stats.pair_ticks);
+}
+
+TEST(SweepProbe, DeadlineOrCancelMidRoundReturnsUndecidedPromptly) {
+  // The equivalent hyp miter sweeps for seconds, its probe slices beside
+  // (or, on one thread, between) the pairs. A deadline or a cancel that
+  // lands mid-round must stop both: no probe loop may wait on a gate the
+  // pairs will never open.
+  const Aig m = equivalent_miter("hyp");
+  constexpr double kStopAfter = 0.25;
+  constexpr double kPrompt = 2.0;  // generous: sanitizer builds are slow
+  for (const unsigned size : {1u, 4u}) {
+    SCOPED_TRACE("pool " + std::to_string(size));
+    const std::unique_ptr<parallel::ThreadPool> pool = pool_of(size);
+    {
+      sweep::SweeperParams p;
+      p.pool = pool.get();
+      p.time_limit = kStopAfter;
+      const Timer sw;
+      const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(m);
+      EXPECT_EQ(r.verdict, Verdict::kUndecided);
+      EXPECT_LT(sw.seconds(), kStopAfter + kPrompt);
+    }
+    {
+      std::atomic<bool> cancel{false};
+      sweep::SweeperParams p;
+      p.pool = pool.get();
+      p.cancel = &cancel;
+      std::atomic<double> cancelled_at{0};
+      const Timer sw;
+      std::thread canceller([&] {
+        std::this_thread::sleep_for(std::chrono::duration<double>(kStopAfter));
+        cancelled_at.store(sw.seconds());
+        cancel.store(true);
+      });
+      const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(m);
+      const double done = sw.seconds();
+      canceller.join();
+      EXPECT_EQ(r.verdict, Verdict::kUndecided);
+      EXPECT_LT(done - cancelled_at.load(), kPrompt);
+    }
+  }
+}
+
 TEST(SweepProbe, FreshSolverRefutationIsMonotoneInBudget) {
   // A fresh solver's search does not depend on its conflict budget,
   // which only cuts the search off: a budget that refutes a PO still
-  // refutes it when doubled. (A probe on one long-lived solver lacks
-  // this property, which is why every probed PO gets its own.)
+  // refutes it when doubled. (A probe on one solver shared by many POs
+  // lacks this property, which is why every probed PO gets its own.)
   for (const auto& [family, seed] :
        {std::pair{"sqrt", 2}, std::pair{"sqrt", 3}, std::pair{"log2", 2},
         std::pair{"log2", 3}, std::pair{"voter", 2}, std::pair{"voter", 3}}) {
