@@ -278,10 +278,7 @@ BatchResult check_batch(const aig::Aig& aig,
   if (lanes == 1) {
     run_lane(0);
   } else {
-    parallel::StagePlan plan;
-    plan.set_granular(true);
-    plan.stage(0, lanes, run_lane);
-    pool.run_stages(plan);
+    pool.run_lanes(lanes, run_lane);
   }
   for (const LaneTotals& t : totals) {
     result.tiles += t.tiles;

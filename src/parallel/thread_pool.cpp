@@ -51,12 +51,10 @@ bool take_fault(CheckedFault want) {
 }
 
 [[noreturn]] void protocol_violation(const char* what, std::uint32_t epoch,
-                                     std::uint32_t stage, std::size_t a,
-                                     std::size_t b) {
+                                     std::size_t a, std::size_t b) {
   std::fprintf(stderr,
-               "SIMSWEEP_CHECKED violation: %s (epoch=%u stage=%u "
-               "detail=%zu/%zu)\n",
-               what, epoch, stage, a, b);
+               "SIMSWEEP_CHECKED violation: %s (epoch=%u detail=%zu/%zu)\n",
+               what, epoch, a, b);
   std::fflush(stderr);
   std::abort();
 }
@@ -113,26 +111,14 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-std::vector<ThreadPool::StageRef> ThreadPool::refs_of(const StagePlan& plan) {
-  std::vector<StageRef> refs;
-  refs.reserve(plan.stages_.size());
-  for (const auto& s : plan.stages_)
-    refs.push_back(StageRef{s.begin, s.end, &s.block});
-  return refs;
+void ThreadPool::execute(std::size_t begin, std::size_t end,
+                         const BlockFn& block, std::size_t chunk) {
+  common::RankedMutexLock submit(submit_mutex_, common::lock_ranks::pool);
+  join(publish(begin, end, block, chunk));
 }
 
-bool ThreadPool::run_stages(const StagePlan& plan) {
-  const auto* cancel = plan.cancel_;
-  if (plan.stages_.empty())
-    return !(cancel != nullptr && cancel->load(std::memory_order_relaxed));
-  const std::vector<StageRef> refs = refs_of(plan);
-  return execute(refs.data(), refs.size(), cancel, plan.granular_);
-}
-
-bool ThreadPool::run_beside(const StagePlan& plan,
-                            const std::function<void()>& host) {
-  if (workers_.empty() || plan.stages_.empty()) return false;
-  const std::vector<StageRef> refs = refs_of(plan);
+bool ThreadPool::beside(std::size_t n, const BlockFn& block,
+                        const std::function<void()>& host) {
   // A try-lock never waits, so it cannot invert the rank order; the rank
   // is still noted so that locks taken inside `host` are checked.
   common::lock_ranks::detail::note_acquire(common::LockRank::kPool);
@@ -142,9 +128,10 @@ bool ThreadPool::run_beside(const StagePlan& plan,
   }
   std::uint32_t e = 0;
   try {
-    e = publish(refs.data(), refs.size(), plan.cancel_, plan.granular_);
+    e = publish(0, n, block, 1);
   } catch (...) {
-    // The stage slots could not be allocated; no worker saw the job.
+    // The checked build's claim bitmap could not be allocated; no worker
+    // saw the job.
     submit_mutex_.unlock();
     common::lock_ranks::detail::note_release(common::LockRank::kPool);
     return false;
@@ -162,74 +149,30 @@ bool ThreadPool::run_beside(const StagePlan& plan,
   return true;
 }
 
-bool ThreadPool::execute(const StageRef* stages, std::size_t n,
-                         const std::atomic<bool>* cancel, bool granular) {
-  const auto cancelled = [cancel] {
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-  };
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (stages[i].begin < stages[i].end) total += stages[i].end - stages[i].begin;
-  // Inline path: no workers, or too little work to amortize a launch. The
-  // cancellation flag is still honoured between stages. Granular launches
-  // skip the amortization heuristic (their items are long-running bodies,
-  // not loop iterations) but still run inline on a workerless pool.
-  if (workers_.empty() || (!granular && total < 2 * concurrency())) {
-    inline_jobs_.fetch_add(1, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cancelled()) return false;
-      if (stages[i].begin < stages[i].end)
-        (*stages[i].block)(stages[i].begin, stages[i].end);
-    }
-    return !cancelled();
-  }
-
-  common::RankedMutexLock submit(submit_mutex_, common::lock_ranks::pool);
-  if (cancelled()) return false;
-  join(publish(stages, n, cancel, granular));
-  return !cancelled();
-}
-
-std::uint32_t ThreadPool::publish(const StageRef* stages, std::size_t n,
-                                  const std::atomic<bool>* cancel,
-                                  bool granular) {
-  // Stage slots may be (re)allocated here: quiescence is guaranteed — the
-  // previous job's submitter only returned once active_ hit 0.
-  if (n > slot_capacity_) {
-    slot_capacity_ = std::max<std::size_t>(2 * slot_capacity_, n);
-    slots_ = std::make_unique<StageSlot[]>(slot_capacity_);
-  }
-  const unsigned threads = concurrency();
-  for (std::size_t i = 0; i < n; ++i) {
-    StageSlot& slot = slots_[i];
-    slot.begin = stages[i].begin;
-    slot.end = stages[i].end;
-    const std::size_t items =
-        slot.end > slot.begin ? slot.end - slot.begin : 0;
-    slot.chunk =
-        granular ? 1 : std::max<std::size_t>(1, items / (threads * 8));
-    slot.block = stages[i].block;
-    slot.cursor.store(slot.begin, std::memory_order_relaxed);
-    slot.remaining.store(items, std::memory_order_relaxed);
+std::uint32_t ThreadPool::publish(std::size_t begin, std::size_t end,
+                                  const BlockFn& block, std::size_t chunk) {
+  // The job may be rewritten here: quiescence is guaranteed — the previous
+  // job's submitter only returned once active_ hit 0.
+  const std::size_t items = end - begin;
+  job_.begin = begin;
+  job_.end = end;
+  job_.chunk = chunk;
+  job_.block = &block;
+  job_.cursor.store(begin, std::memory_order_relaxed);
+  job_.remaining.store(items, std::memory_order_relaxed);
 #ifdef SIMSWEEP_CHECKED
-    const std::size_t words = (items + 63) / 64;
-    if (words > slot.claimed_words) {
-      slot.claimed = std::make_unique<std::atomic<std::uint64_t>[]>(words);
-      slot.claimed_words = words;
-    }
-    for (std::size_t w = 0; w < words; ++w)
-      slot.claimed[w].store(0, std::memory_order_relaxed);
-    slot.opened.store(0, std::memory_order_relaxed);
-#endif
+  const std::size_t words = (items + 63) / 64;
+  if (words > job_.claimed_words) {
+    job_.claimed = std::make_unique<std::atomic<std::uint64_t>[]>(words);
+    job_.claimed_words = words;
   }
-  num_stages_ = n;
-  cancel_ = cancel;
+  for (std::size_t w = 0; w < words; ++w)
+    job_.claimed[w].store(0, std::memory_order_relaxed);
+  job_.completions.store(0, std::memory_order_relaxed);
+#endif
   jobs_.fetch_add(1, std::memory_order_relaxed);
-  stages_submitted_.fetch_add(n, std::memory_order_relaxed);
-  std::uint32_t first = 0;
-  while (first < n && stages[first].begin >= stages[first].end) ++first;
   const std::uint32_t e = ++epoch_;
-  control_.store(pack(e, first), std::memory_order_seq_cst);
+  control_.store(pack(e, false), std::memory_order_seq_cst);
   if (num_parked_.load(std::memory_order_seq_cst) > 0) {
     {
       std::lock_guard lock(park_mutex_);
@@ -240,12 +183,17 @@ std::uint32_t ThreadPool::publish(const StageRef* stages, std::size_t n,
 }
 
 void ThreadPool::join(std::uint32_t epoch) {
-  // The calling thread participates, then waits for stragglers to leave
-  // the job before the stage slots may be reused.
+  // The calling thread participates, waits for the last item to retire,
+  // then for stragglers to leave the job before its state may be reused.
+  // The done store, these loads and the workers' active_ increments are
+  // all seq_cst: a worker that enters after the active_ wait read 0 must
+  // then see the job done and leave without touching it.
   const auto job_start = std::chrono::steady_clock::now();
   run_job(epoch, /*stat_slot=*/0);
   unsigned spins = 0;
-  while (active_.load(std::memory_order_acquire) != 0) relax(spins);
+  while (control_.load(std::memory_order_seq_cst) != pack(epoch, true))
+    relax(spins);
+  while (active_.load(std::memory_order_seq_cst) != 0) relax(spins);
   worker_stats_[0].busy_ns.fetch_add(
       static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -255,105 +203,76 @@ void ThreadPool::join(std::uint32_t epoch) {
 }
 
 void ThreadPool::run_job(std::uint32_t epoch, std::size_t stat_slot) {
-  unsigned spins = 0;
+  if (control_.load(std::memory_order_seq_cst) != pack(epoch, false)) return;
   for (;;) {
-    const std::uint64_t ctl = control_.load(std::memory_order_acquire);
-    if (ctl_epoch(ctl) != epoch) return;
-    const std::uint32_t s = ctl_stage(ctl);
-    if (s == kStageDone) return;
-    StageSlot& slot = slots_[s];
     const std::size_t lo =
-        slot.cursor.fetch_add(slot.chunk, std::memory_order_relaxed);
-    if (lo >= slot.end) {
-      // Stage drained; the in-flight chunks of other threads have not all
-      // retired yet. Wait for the barrier to open (control_ advances).
-      relax(spins);
-      continue;
-    }
-    spins = 0;
+        job_.cursor.fetch_add(job_.chunk, std::memory_order_relaxed);
+    if (lo >= job_.end) return;  // drained; the last retirer marks done
     worker_stats_[stat_slot].chunks.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t hi = std::min(lo + slot.chunk, slot.end);
+    const std::size_t hi = std::min(lo + job_.chunk, job_.end);
 #ifdef SIMSWEEP_CHECKED
-    checked_claim(epoch, s, lo, hi);
+    checked_claim(epoch, lo, hi);
 #endif
-    if (!(cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)))
-      (*slot.block)(lo, hi);
+    (*job_.block)(lo, hi);
     const std::size_t items = hi - lo;
-    // Retiring the last chunk of a stage opens the next stage: this store
-    // is the entire inter-stage barrier.
 #ifdef SIMSWEEP_CHECKED
-    if (checked_retire(epoch, s, items) == items) advance_stage(epoch, s);
+    const bool last = checked_retire(epoch, items) == items;
+    if (last) checked_complete(epoch);
 #else
-    if (slot.remaining.fetch_sub(items, std::memory_order_acq_rel) == items)
-      advance_stage(epoch, s);
+    const bool last =
+        job_.remaining.fetch_sub(items, std::memory_order_acq_rel) == items;
 #endif
+    if (last) control_.store(pack(epoch, true), std::memory_order_seq_cst);
   }
 }
 
-void ThreadPool::advance_stage(std::uint32_t epoch, std::uint32_t s) {
-#ifdef SIMSWEEP_CHECKED
-  checked_open(epoch, s);
-#endif
-  std::uint32_t next = s + 1;
-  if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed))
-    next = static_cast<std::uint32_t>(num_stages_);  // skip remaining stages
-  while (next < num_stages_ && slots_[next].begin >= slots_[next].end)
-    ++next;
-  control_.store(
-      pack(epoch, next < num_stages_ ? next : kStageDone),
-      std::memory_order_release);
-}
-
 #ifdef SIMSWEEP_CHECKED
 
-void ThreadPool::checked_claim(std::uint32_t epoch, std::uint32_t s,
-                               std::size_t lo, std::size_t hi) {
-  StageSlot& slot = slots_[s];
-  if (lo < slot.begin || hi > slot.end || lo >= hi)
-    protocol_violation("ticket cursor out of stage bounds", epoch, s, lo, hi);
+void ThreadPool::checked_claim(std::uint32_t epoch, std::size_t lo,
+                               std::size_t hi) {
+  if (lo < job_.begin || hi > job_.end || lo >= hi)
+    protocol_violation("ticket cursor out of job bounds", epoch, lo, hi);
   const auto mark = [&](std::size_t i) {
-    const std::size_t item = i - slot.begin;
+    const std::size_t item = i - job_.begin;
     const std::uint64_t bit = std::uint64_t{1} << (item % 64);
-    const std::uint64_t prev = slot.claimed[item / 64].fetch_or(
-        bit, std::memory_order_relaxed);
+    const std::uint64_t prev =
+        job_.claimed[item / 64].fetch_or(bit, std::memory_order_relaxed);
     if ((prev & bit) != 0)
-      protocol_violation("chunk index claimed twice", epoch, s, i,
-                         slot.end - slot.begin);
+      protocol_violation("chunk index claimed twice", epoch, i,
+                         job_.end - job_.begin);
   };
   for (std::size_t i = lo; i < hi; ++i) mark(i);
   if (take_fault(CheckedFault::kDoubleClaim)) mark(lo);
 }
 
-std::size_t ThreadPool::checked_retire(std::uint32_t epoch, std::uint32_t s,
+std::size_t ThreadPool::checked_retire(std::uint32_t epoch,
                                        std::size_t items) {
-  StageSlot& slot = slots_[s];
   if (take_fault(CheckedFault::kDoubleRetire))
-    slot.remaining.fetch_sub(items, std::memory_order_acq_rel);
+    job_.remaining.fetch_sub(items, std::memory_order_acq_rel);
   const std::size_t prev =
-      slot.remaining.fetch_sub(items, std::memory_order_acq_rel);
+      job_.remaining.fetch_sub(items, std::memory_order_acq_rel);
   // fetch_sub on an unsigned counter wraps on a double retire: the stolen
   // items make some later (or this) retirement observe prev < items.
-  if (prev < items || prev > slot.end - slot.begin)
-    protocol_violation("chunk retired twice (retirement underflow)", epoch, s,
+  if (prev < items || prev > job_.end - job_.begin)
+    protocol_violation("chunk retired twice (retirement underflow)", epoch,
                        prev, items);
   return prev;
 }
 
-void ThreadPool::checked_open(std::uint32_t epoch, std::uint32_t s) {
-  StageSlot& slot = slots_[s];
-  if (slot.opened.fetch_add(1, std::memory_order_relaxed) != 0)
-    protocol_violation("stage barrier opened twice", epoch, s, 0, 0);
-  const std::size_t rem = slot.remaining.load(std::memory_order_acquire);
+void ThreadPool::checked_complete(std::uint32_t epoch) {
+  if (job_.completions.fetch_add(1, std::memory_order_relaxed) != 0)
+    protocol_violation("job completed twice", epoch, 0, 0);
+  const std::size_t rem = job_.remaining.load(std::memory_order_acquire);
+  const std::size_t items = job_.end - job_.begin;
   if (rem != 0)
-    protocol_violation("stage opened before all chunks retired", epoch, s,
-                       rem, slot.end - slot.begin);
-  const std::size_t items = slot.end - slot.begin;
+    protocol_violation("job completed before all chunks retired", epoch, rem,
+                       items);
   for (std::size_t w = 0; w < (items + 63) / 64; ++w) {
     const std::size_t in_word = std::min<std::size_t>(64, items - w * 64);
     const std::uint64_t want =
         in_word == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << in_word) - 1;
-    if (slot.claimed[w].load(std::memory_order_relaxed) != want)
-      protocol_violation("stage opened with unclaimed items", epoch, s, w,
+    if (job_.claimed[w].load(std::memory_order_relaxed) != want)
+      protocol_violation("job completed with unclaimed items", epoch, w,
                          items);
   }
 }
@@ -374,12 +293,11 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       // number of them but must never observe the sequence move backwards
       // (modular comparison tolerates the 32-bit wrap).
       if (static_cast<std::int32_t>(e - seen) < 0)
-        protocol_violation("epoch moved backwards", e, ctl_stage(ctl), seen,
-                           e);
+        protocol_violation("epoch moved backwards", e, seen, e);
 #endif
       seen = e;
-      if (ctl_stage(ctl) == kStageDone) continue;  // job already over
-      active_.fetch_add(1, std::memory_order_acq_rel);
+      if (ctl_done(ctl)) continue;  // job already over
+      active_.fetch_add(1, std::memory_order_seq_cst);
       const auto job_start = std::chrono::steady_clock::now();
       run_job(e, worker_index + 1);
       stat.busy_ns.fetch_add(
@@ -388,7 +306,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
                   std::chrono::steady_clock::now() - job_start)
                   .count()),
           std::memory_order_relaxed);
-      active_.fetch_sub(1, std::memory_order_release);
+      active_.fetch_sub(1, std::memory_order_seq_cst);
       idle = 0;
       continue;
     }
@@ -407,7 +325,6 @@ PoolStats ThreadPool::stats() const {
   st.spawn_failures = spawn_failures_;
   st.jobs = jobs_.load(std::memory_order_relaxed);
   st.inline_jobs = inline_jobs_.load(std::memory_order_relaxed);
-  st.stages = stages_submitted_.load(std::memory_order_relaxed);
   const double lifetime_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - created_)
@@ -440,7 +357,6 @@ void ThreadPool::publish(obs::Registry& registry) const {
   registry.set(obs::metric::kPoolJobs, static_cast<double>(st.jobs));
   registry.set(obs::metric::kPoolInlineJobs,
                static_cast<double>(st.inline_jobs));
-  registry.set(obs::metric::kPoolStages, static_cast<double>(st.stages));
   registry.set(obs::metric::kPoolChunks, static_cast<double>(st.chunks));
   registry.set(obs::metric::kPoolLifetimeSeconds, st.lifetime_seconds);
   registry.set(obs::metric::kPoolBusyMean, st.busy_mean);
@@ -456,7 +372,7 @@ void ThreadPool::park(std::uint32_t seen_epoch) {
   park_cv_.wait(lock, [&] {
     if (stop_.load(std::memory_order_relaxed)) return true;
     const std::uint64_t ctl = control_.load(std::memory_order_acquire);
-    return ctl_epoch(ctl) != seen_epoch && ctl_stage(ctl) != kStageDone;
+    return ctl_epoch(ctl) != seen_epoch && !ctl_done(ctl);
   });
   num_parked_.fetch_sub(1, std::memory_order_relaxed);
 }

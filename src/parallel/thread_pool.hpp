@@ -1,46 +1,41 @@
 #pragma once
 /// \file thread_pool.hpp
-/// \brief Staged data-parallel executor — the CPU stand-in for the paper's
-/// GPU.
+/// \brief Data-parallel executor — the CPU stand-in for the paper's GPU.
 ///
-/// Every parallel algorithm in the paper is a data-parallel kernel over a
-/// flat index space (words of a truth table, nodes of a level batch,
-/// windows of a batch — the "three dimensions of parallelism" of paper
-/// Fig. 3). This module provides that execution model on CPU threads with
-/// GPU-like launch semantics:
+/// Every launch is one index space [begin, end) whose items workers claim
+/// from one atomic ticket cursor. Three launch shapes cover every engine
+/// path (DESIGN.md §2.1):
 ///
-///  - parallel_for / parallel_for_chunks: one kernel over [begin, end)
-///    with dynamic chunking (a single CUDA kernel launch).
-///  - StagePlan + parallel_stages(): a whole sequence of dependent index
-///    spaces — e.g. input projection -> level 1..L -> root compare of one
-///    simulation round — submitted as ONE launch. Stages are separated by
-///    lightweight internal barriers (the last worker to retire a chunk of
-///    stage s opens stage s+1 with a single atomic store), so a fused
-///    launch costs one submission handshake instead of one per stage.
-///    This mirrors a CUDA stream: kernels queued back-to-back with
-///    device-side ordering, no host round-trip between them.
+///  - parallel_for_chunks: a data-parallel kernel over [begin, end) with
+///    dynamic chunking (a single CUDA kernel launch); it runs inline when
+///    the range is too small to amortize a launch.
+///  - run_lanes: one long-running item per index (the exhaustive
+///    simulator's tile lanes, the sweep's probe and shard loops), handed
+///    to the workers however small the count is.
+///  - run_beside: run_lanes with a host task on the calling thread while
+///    the workers start on the lanes.
 ///
-/// Execution model: persistent workers poll an atomic {epoch, stage}
-/// control word and claim contiguous chunks from a per-stage atomic ticket
-/// cursor. Workers spin briefly between stages (barriers are short-lived)
-/// and spin-then-park between jobs, so an idle pool consumes no CPU. The
-/// calling thread participates in every job. The engine code is written
-/// purely against this interface, so the mapping back to CUDA kernels is
-/// mechanical (see DESIGN.md §2).
+/// Execution model: persistent workers poll an atomic {epoch, done}
+/// control word, claim chunks while the cursor lasts, and spin-then-park
+/// between jobs, so an idle pool consumes no CPU. The worker that retires
+/// the last item marks the job done. The calling thread participates in
+/// every job. The engine code is written purely against this interface,
+/// so the mapping back to CUDA kernels is mechanical.
 ///
-/// Concurrency contract: jobs are serialized — run_stages/parallel_for may
-/// be called from multiple client threads (e.g. the portfolio checker
-/// racing several engines) and whole jobs execute one at a time. Nested
-/// submission from inside a worker body is not supported (as before).
+/// Concurrency contract: jobs are serialized — launches may come from
+/// multiple client threads (e.g. the portfolio checker racing several
+/// engines) and whole jobs execute one at a time. Nested submission from
+/// inside a worker body is not supported.
 ///
 /// Checked build (`-DSIMSWEEP_CHECKED=ON`): the executor shadow-tracks its
-/// own stage protocol — a per-item claim bitmap (no index claimed twice),
-/// retirement-counter underflow detection (no chunk retired twice),
-/// single-open stage barriers (a stage opens exactly once, and only after
-/// every item of the previous stage retired) and per-worker epoch
-/// monotonicity. Violations abort immediately with a diagnostic on stderr
-/// prefixed "SIMSWEEP_CHECKED violation". See DESIGN.md §2.2.
+/// own job protocol — a per-item claim bitmap (no index claimed twice),
+/// cursor bounds, retirement-counter underflow detection (no chunk retired
+/// twice), a single completion per job (only after every item was claimed
+/// and retired) and per-worker epoch monotonicity. Violations abort
+/// immediately with a diagnostic on stderr prefixed
+/// "SIMSWEEP_CHECKED violation". See DESIGN.md §2.2.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -60,8 +55,6 @@ class Registry;
 
 namespace simsweep::parallel {
 
-class ThreadPool;
-
 /// Lifetime utilization telemetry of one pool (see ThreadPool::stats()).
 /// All values are process-lifetime totals, so consumers publish them with
 /// set (not add) semantics.
@@ -69,7 +62,6 @@ struct PoolStats {
   unsigned workers = 0;            ///< worker threads (callers excluded)
   std::uint64_t jobs = 0;          ///< launches distributed over the pool
   std::uint64_t inline_jobs = 0;   ///< launches run inline (too little work)
-  std::uint64_t stages = 0;        ///< stages across distributed launches
   std::uint64_t chunks = 0;        ///< chunk claims (workers + callers)
   double lifetime_seconds = 0;     ///< since pool construction
   /// Busy fraction (time inside jobs / lifetime) over the worker threads.
@@ -97,61 +89,6 @@ enum class CheckedFault : int {
 void checked_inject_fault_for_test(CheckedFault fault);
 #endif
 
-/// An ordered sequence of data-parallel stages executed as one fused
-/// launch: stage i+1 starts only after every index of stage i finished
-/// (internal barrier), but no stage pays a separate submission handshake.
-///
-/// A plan only references its bodies, so it can be built once and re-run
-/// many times (e.g. once per simulation round with the round number
-/// captured by reference); it must outlive every run_stages() call using
-/// it. An optional cancellation flag is checked at every chunk claim and
-/// stage barrier: once it fires, remaining work is skipped and the run
-/// reports cancellation.
-class StagePlan {
- public:
-  /// Appends a stage running body(i) for every i in [begin, end).
-  template <typename Body>
-  void stage(std::size_t begin, std::size_t end, Body body) {
-    stages_.push_back({begin, end,
-                       [b = std::move(body)](std::size_t lo, std::size_t hi) {
-                         for (std::size_t i = lo; i < hi; ++i) b(i);
-                       }});
-  }
-
-  /// Appends a stage running body(lo, hi) on contiguous chunks of
-  /// [begin, end), letting the caller hoist per-chunk setup.
-  template <typename Body>
-  void stage_chunks(std::size_t begin, std::size_t end, Body body) {
-    stages_.push_back({begin, end, std::move(body)});
-  }
-
-  /// Cooperative cancellation for the whole plan (may be nullptr).
-  void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
-
-  /// Granular launch: every index is its own chunk and the launch is
-  /// distributed even when the index space is tiny. For stages whose
-  /// items are long-running bodies (e.g. the sweeper's shard loops, each
-  /// processing work off its own ticket cursor), not fine-grained data
-  /// parallelism — the usual "too little work to amortize a launch"
-  /// heuristic would run them sequentially inline.
-  void set_granular(bool granular) { granular_ = granular; }
-
-  void clear() { stages_.clear(); }
-  std::size_t num_stages() const { return stages_.size(); }
-
- private:
-  friend class ThreadPool;
-  using BlockFn = std::function<void(std::size_t, std::size_t)>;
-  struct PlanStage {
-    std::size_t begin;
-    std::size_t end;
-    BlockFn block;
-  };
-  std::vector<PlanStage> stages_;
-  const std::atomic<bool>* cancel_ = nullptr;
-  bool granular_ = false;
-};
-
 class ThreadPool {
  public:
   /// Creates a pool with the given number of worker threads (0 = use
@@ -171,26 +108,11 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size()) + 1;
   }
 
-  /// Runs body(i) for every i in [begin, end), distributing contiguous
-  /// chunks over the pool dynamically. Blocks until all iterations finish.
-  /// body must be safe to invoke concurrently for distinct i.
-  template <typename Body>
-  void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
-    if (begin >= end) return;
-    if (workers_.empty() || end - begin < 2 * concurrency()) {
-      inline_jobs_.fetch_add(1, std::memory_order_relaxed);
-      for (std::size_t i = begin; i < end; ++i) body(i);
-      return;
-    }
-    const BlockFn block = [&body](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    };
-    const StageRef ref{begin, end, &block};
-    execute(&ref, 1, nullptr);
-  }
-
-  /// Chunked variant: body(lo, hi) handles a contiguous block, letting the
-  /// caller hoist per-chunk setup out of the inner loop.
+  /// Runs body(lo, hi) on contiguous chunks covering [begin, end),
+  /// distributed over the pool dynamically, so the caller can hoist
+  /// per-chunk setup out of the inner loop. Blocks until every chunk
+  /// finished; body must be safe to invoke concurrently on disjoint
+  /// chunks. A range too small to amortize a launch runs inline.
   template <typename Body>
   void parallel_for_chunks(std::size_t begin, std::size_t end,
                            const Body& body) {
@@ -203,29 +125,45 @@ class ThreadPool {
     const BlockFn block = [&body](std::size_t lo, std::size_t hi) {
       body(lo, hi);
     };
-    const StageRef ref{begin, end, &block};
-    execute(&ref, 1, nullptr);
+    execute(begin, end, block,
+            std::max<std::size_t>(1, (end - begin) / (concurrency() * 8)));
   }
 
-  /// Executes every stage of the plan in order with internal barriers.
-  /// Returns false iff the plan's cancellation flag fired (some work was
-  /// then skipped and the caller must discard partial results).
-  bool run_stages(const StagePlan& plan);
+  /// Runs body(i) for every i in [0, n), each index its own item, and
+  /// hands them to the workers however small n is: for long-running
+  /// bodies (e.g. loops that take work off their own ticket), which the
+  /// amortization rule of parallel_for_chunks would run one after another
+  /// inline. Runs inline only on a pool without workers.
+  template <typename Body>
+  void run_lanes(std::size_t n, const Body& body) {
+    if (n == 0) return;
+    if (workers_.empty()) {
+      inline_jobs_.fetch_add(1, std::memory_order_relaxed);
+      for (std::size_t i = 0; i < n; ++i) body(i);
+      return;
+    }
+    execute(0, n, lanes_of(body), 1);
+  }
 
-  /// Runs `host` on the calling thread while the workers start on `plan`,
-  /// then joins the plan as run_stages() does: the caller claims what no
-  /// worker took and waits for the rest. For a host task that the plan's
-  /// bodies run beside, such as a sweep round's pair decisions beside its
-  /// PO probes (DESIGN.md §2.5). Returns false, running neither, when the
-  /// pool has no workers or another job holds it; the caller then runs
-  /// both itself, in the order it needs. A plan body may wait on `host`
-  /// only for as long as `host` runs: an exception from `host` is
-  /// rethrown after the join.
-  bool run_beside(const StagePlan& plan, const std::function<void()>& host);
+  /// Runs `host` on the calling thread while the workers start on the
+  /// lanes body(0..n), then joins them as run_lanes() does: the caller
+  /// claims what no worker took and waits for the rest. For a host task
+  /// that the lanes run beside, such as a sweep round's pair decisions
+  /// beside its PO probes (DESIGN.md §2.5). Returns false, running
+  /// neither, when n is 0, the pool has no workers or another job holds
+  /// it; the caller then runs both itself, in the order it needs. A lane
+  /// may wait on `host` only for as long as `host` runs: an exception
+  /// from `host` is rethrown after the join.
+  template <typename Body>
+  bool run_beside(std::size_t n, const Body& body,
+                  const std::function<void()>& host) {
+    if (n == 0 || workers_.empty()) return false;
+    return beside(n, lanes_of(body), host);
+  }
 
-  /// Lifetime utilization totals (jobs, stages, chunk claims, per-worker
-  /// busy fractions). Safe to call concurrently with running jobs; the
-  /// relaxed counters give a consistent-enough view for reporting.
+  /// Lifetime utilization totals (jobs, chunk claims, per-worker busy
+  /// fractions). Safe to call concurrently with running jobs; the relaxed
+  /// counters give a consistent-enough view for reporting.
   PoolStats stats() const;
 
   /// Publishes stats() into `registry` as the catalogued `pool.*` gauges
@@ -234,18 +172,20 @@ class ThreadPool {
   void publish(obs::Registry& registry) const;
 
  private:
-  using BlockFn = StagePlan::BlockFn;
+  using BlockFn = std::function<void(std::size_t, std::size_t)>;
 
-  /// A stage as submitted: the body lives in the caller's frame / plan.
-  struct StageRef {
-    std::size_t begin;
-    std::size_t end;
-    const BlockFn* block;
-  };
+  template <typename Body>
+  static BlockFn lanes_of(const Body& body) {
+    return [&body](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) body(i);
+    };
+  }
 
-  /// Live per-stage execution state. Cursor and retirement counter sit on
-  /// separate cache lines from the immutable descriptor fields.
-  struct StageSlot {
+  /// The job in flight: its items [begin, end), claimed `chunk` at a time
+  /// from `cursor`, and the count of items not yet retired. Cursor and
+  /// retirement counter sit on separate cache lines from the immutable
+  /// descriptor fields.
+  struct Job {
     std::size_t begin = 0;
     std::size_t end = 0;
     std::size_t chunk = 1;
@@ -254,53 +194,51 @@ class ThreadPool {
     alignas(64) std::atomic<std::size_t> remaining{0};
 #ifdef SIMSWEEP_CHECKED
     /// Shadow protocol state: one bit per item of [begin, end) set at
-    /// claim time, and a count of barrier openings for this slot.
+    /// claim time, and a count of completions of this job.
     std::unique_ptr<std::atomic<std::uint64_t>[]> claimed;
     std::size_t claimed_words = 0;
-    std::atomic<std::uint32_t> opened{0};
+    std::atomic<std::uint32_t> completions{0};
 #endif
   };
 
-  static constexpr std::uint32_t kStageDone = 0xFFFFFFFFu;
-  static std::uint64_t pack(std::uint32_t epoch, std::uint32_t stage) {
-    return (static_cast<std::uint64_t>(epoch) << 32) | stage;
+  static std::uint64_t pack(std::uint32_t epoch, bool done) {
+    return (static_cast<std::uint64_t>(epoch) << 32) | (done ? 1u : 0u);
   }
   static std::uint32_t ctl_epoch(std::uint64_t ctl) {
     return static_cast<std::uint32_t>(ctl >> 32);
   }
-  static std::uint32_t ctl_stage(std::uint64_t ctl) {
-    return static_cast<std::uint32_t>(ctl);
-  }
+  static bool ctl_done(std::uint64_t ctl) { return (ctl & 1u) != 0; }
 
-  bool execute(const StageRef* stages, std::size_t n,
-               const std::atomic<bool>* cancel, bool granular = false)
+  void execute(std::size_t begin, std::size_t end, const BlockFn& block,
+               std::size_t chunk) SIMSWEEP_EXCLUDES(submit_mutex_);
+  bool beside(std::size_t n, const BlockFn& block,
+              const std::function<void()>& host)
       SIMSWEEP_EXCLUDES(submit_mutex_);
-  /// Loads a job into the stage slots and wakes the workers; returns its
-  /// epoch. join() then runs the caller's share and waits for the rest.
-  std::uint32_t publish(const StageRef* stages, std::size_t n,
-                        const std::atomic<bool>* cancel, bool granular)
+  /// Loads a job and wakes the workers; returns its epoch. join() then
+  /// runs the caller's share and waits for the rest.
+  std::uint32_t publish(std::size_t begin, std::size_t end,
+                        const BlockFn& block, std::size_t chunk)
       SIMSWEEP_REQUIRES(submit_mutex_);
   void join(std::uint32_t epoch) SIMSWEEP_REQUIRES(submit_mutex_);
-  static std::vector<StageRef> refs_of(const StagePlan& plan);
+  /// Claims and runs chunks of job `epoch` until its cursor is drained.
   /// `stat_slot` selects the per-thread utilization cell chunk claims are
   /// charged to: 0 for submitting threads, i+1 for worker i.
   void run_job(std::uint32_t epoch, std::size_t stat_slot)
-      SIMSWEEP_NO_THREAD_SAFETY_ANALYSIS;
-  void advance_stage(std::uint32_t epoch, std::uint32_t s)
       SIMSWEEP_NO_THREAD_SAFETY_ANALYSIS;
   void worker_loop(std::size_t worker_index);
   void park(std::uint32_t seen_epoch);
 
 #ifdef SIMSWEEP_CHECKED
-  /// Marks items [lo, hi) of slot s as claimed; aborts on a re-claim.
-  void checked_claim(std::uint32_t epoch, std::uint32_t s, std::size_t lo,
-                     std::size_t hi) SIMSWEEP_NO_THREAD_SAFETY_ANALYSIS;
-  /// Underflow-checked retirement; aborts on a double retire.
-  std::size_t checked_retire(std::uint32_t epoch, std::uint32_t s,
-                             std::size_t items)
+  /// Marks items [lo, hi) as claimed; aborts on a re-claim or a chunk
+  /// outside the job's range.
+  void checked_claim(std::uint32_t epoch, std::size_t lo, std::size_t hi)
       SIMSWEEP_NO_THREAD_SAFETY_ANALYSIS;
-  /// Barrier-side invariants: single open, all items claimed + retired.
-  void checked_open(std::uint32_t epoch, std::uint32_t s)
+  /// Underflow-checked retirement; aborts on a double retire.
+  std::size_t checked_retire(std::uint32_t epoch, std::size_t items)
+      SIMSWEEP_NO_THREAD_SAFETY_ANALYSIS;
+  /// Completion-side invariants: one completion, every item claimed and
+  /// retired.
+  void checked_complete(std::uint32_t epoch)
       SIMSWEEP_NO_THREAD_SAFETY_ANALYSIS;
 #endif
 
@@ -314,19 +252,15 @@ class ThreadPool {
 
   // Job state. Written only under submit_mutex_ while the pool is
   // quiescent (active_ == 0) and published to workers by the control_
-  // store (release) / their control_ load (acquire). Worker-side readers
-  // (run_job, advance_stage) are outside the analysis — see the
-  // SIMSWEEP_NO_THREAD_SAFETY_ANALYSIS declarations above.
-  std::unique_ptr<StageSlot[]> slots_ SIMSWEEP_GUARDED_BY(submit_mutex_);
-  std::size_t slot_capacity_ SIMSWEEP_GUARDED_BY(submit_mutex_) = 0;
-  std::size_t num_stages_ SIMSWEEP_GUARDED_BY(submit_mutex_) = 0;
-  const std::atomic<bool>* cancel_ SIMSWEEP_GUARDED_BY(submit_mutex_) =
-      nullptr;
+  // store / their control_ load. Worker-side readers (run_job) are
+  // outside the analysis — see the SIMSWEEP_NO_THREAD_SAFETY_ANALYSIS
+  // declarations above.
+  Job job_ SIMSWEEP_GUARDED_BY(submit_mutex_);
   std::uint32_t epoch_ SIMSWEEP_GUARDED_BY(submit_mutex_) = 0;
 
-  /// {epoch, stage} control word: the single cell workers poll. Stage
-  /// kStageDone means "no job in flight".
-  alignas(64) std::atomic<std::uint64_t> control_{pack(0, kStageDone)};
+  /// {epoch, done} control word: the single cell workers poll. A done
+  /// job has every item retired; no other job is in flight.
+  alignas(64) std::atomic<std::uint64_t> control_{pack(0, true)};
   /// Number of workers currently inside run_job (quiescence barrier).
   alignas(64) std::atomic<unsigned> active_{0};
 
@@ -349,7 +283,6 @@ class ThreadPool {
   unsigned spawn_failures_ = 0;
   std::atomic<std::uint64_t> jobs_{0};
   std::atomic<std::uint64_t> inline_jobs_{0};
-  std::atomic<std::uint64_t> stages_submitted_{0};
   // audit:exempt(set once in the constructor, read-only after)
   std::chrono::steady_clock::time_point created_;
 
@@ -363,20 +296,11 @@ class ThreadPool {
   std::atomic<bool> stop_{false};
 };
 
-/// Convenience wrappers over the global pool.
-template <typename Body>
-void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
-  ThreadPool::global().parallel_for(begin, end, body);
-}
-
+/// Convenience wrapper over the global pool.
 template <typename Body>
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const Body& body) {
   ThreadPool::global().parallel_for_chunks(begin, end, body);
-}
-
-inline bool parallel_stages(const StagePlan& plan) {
-  return ThreadPool::global().run_stages(plan);
 }
 
 }  // namespace simsweep::parallel

@@ -330,7 +330,7 @@ Solver::Result Solver::search(std::int64_t conflict_budget,
         cancel_until(0);
         return Result::kUnknown;
       }
-      if ((conflicts_this_call & 0xFF) == 0 && interrupt && interrupt()) {
+      if (interrupt && interrupt()) {
         cancel_until(0);
         return Result::kUnknown;
       }

@@ -74,10 +74,12 @@ class Solver {
   /// Whether the clause database is already unsatisfiable at level 0.
   bool inconsistent() const { return !ok_; }
 
-  /// Optional interrupt hook, polled every few hundred conflicts during
-  /// search; returning true aborts the current solve() with kUnknown.
-  /// Lets callers enforce wall-clock budgets that a single long SAT call
-  /// would otherwise overshoot.
+  /// Optional interrupt hook, polled after every conflict during search;
+  /// returning true aborts the current solve() with kUnknown. Lets
+  /// callers enforce wall-clock budgets that a single long SAT call would
+  /// otherwise overshoot, and stop short calls whose answer is no longer
+  /// needed. The hook should be cheap (a flag load, a clock read): a
+  /// conflict costs microseconds.
   std::function<bool()> interrupt;
 
   // Statistics.

@@ -202,13 +202,11 @@ std::vector<PairOutcome> ChunkScheduler::decide(
   std::vector<ChunkStats> chunk_stats(num_chunks);
   std::atomic<std::size_t> ticket{0};
 
-  // The shard loops: one granular stage, chunks claimed off a shared
-  // ticket cursor. A shard's "home" chunks are those congruent to its
-  // id; claiming any other chunk is work stealing (the fast shards drain
-  // the slow shards' partitions).
-  parallel::StagePlan plan;
-  plan.set_granular(true);
-  plan.stage(0, num_shards, [&](std::size_t s) {
+  // The shard loops: one lane each, chunks claimed off a shared ticket
+  // cursor. A shard's "home" chunks are those congruent to its id;
+  // claiming any other chunk is work stealing (the fast shards drain the
+  // slow shards' partitions).
+  pool_->run_lanes(num_shards, [&](std::size_t s) {
     Timer shard_t;
     ShardStats local;
     for (;;) {
@@ -226,7 +224,6 @@ std::vector<PairOutcome> ChunkScheduler::decide(
     acc.steals += local.steals;
     acc.busy_seconds += shard_t.seconds();
   });
-  pool_->run_stages(plan);
 
   // The probe slices run between rounds here (the shards may share the
   // probe's pool), so the round's ticks are published once, complete.

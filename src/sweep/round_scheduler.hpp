@@ -17,7 +17,7 @@
 ///    same round profit from it. Pure SAT: the "ABC &cec" baseline.
 ///  - chunked (num_threads > 1): the round's pairs are cut into fixed
 ///    chunks of SweeperParams::pairs_per_chunk, claimed off an atomic
-///    ticket by min(num_threads, chunks) shard loops on a staged executor
+///    ticket by min(num_threads, chunks) shard loops on the executor
 ///    (a private pool, or SweeperParams::pool). Each chunk is hermetic: a
 ///    fresh PairSolver over a private copy of the round-start
 ///    substitution map, with simulation-first resolution of small-support

@@ -157,12 +157,10 @@ class ProbeRound {
     // helps with the slices left.
     const std::size_t loops =
         std::min<std::size_t>(pos_.size(), pool.concurrency());
-    if (beside && loops > 1) {
-      parallel::StagePlan plan;
-      plan.set_granular(true);
-      plan.stage(0, loops, [this](std::size_t) { loop(/*wait=*/true); });
-      if (pool.run_beside(plan, host)) return;
-    }
+    if (beside && loops > 1 &&
+        pool.run_beside(
+            loops, [this](std::size_t) { loop(/*wait=*/true); }, host))
+      return;
     if (beside) {
       link_.between_pairs = [this] {
         if (!finished_.load(std::memory_order_relaxed) &&
@@ -221,10 +219,7 @@ class ProbeRound {
       loop(/*wait=*/false);
       return;
     }
-    parallel::StagePlan plan;
-    plan.set_granular(true);
-    plan.stage(0, loops, [this](std::size_t) { loop(/*wait=*/false); });
-    pool.run_stages(plan);
+    pool.run_lanes(loops, [this](std::size_t) { loop(/*wait=*/false); });
   }
 
   /// Runs slices until the probe ends. With `wait`, a closed gate is

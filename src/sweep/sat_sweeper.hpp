@@ -114,11 +114,11 @@ struct SweeperParams {
   /// stays the "ABC &cec" baseline — SAT on every pair, plus the PO
   /// probes and in-round CEX resimulation that ABC's sweeper also does.
   unsigned sim_support_limit = 12;
-  /// Shared staged executor (DESIGN.md §2.9) for the chunk scheduler and
+  /// Shared executor (DESIGN.md §2.9) for the chunk scheduler and
   /// the PO probes. Null (the default) gives each sharded sweep a private
   /// pool sized num_threads-1 and runs the probes on the process-wide
   /// pool. A batch service passes ONE pool here so concurrent jobs
-  /// contend for a single worker set (the pool serializes whole staged
+  /// contend for a single worker set (the pool serializes whole
   /// jobs) instead of every job spawning its own threads and
   /// oversubscribing the host. A sequential sweep holds the pool for each
   /// round while the probe runs beside the pair decisions (DESIGN.md

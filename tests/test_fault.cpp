@@ -630,8 +630,9 @@ TEST(FaultRecovery, PoolSpawnFailuresDegradeToFewerWorkers) {
     EXPECT_EQ(pool.stats().spawn_failures, 4u);
     EXPECT_EQ(pool.concurrency(), 1u);
     std::atomic<std::uint64_t> sum{0};
-    pool.parallel_for(0, 1000, [&](std::size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
+    pool.parallel_for_chunks(0, 1000, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i)
+        sum.fetch_add(i, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 1000u * 999u / 2);
   }
@@ -645,8 +646,9 @@ TEST(FaultRecovery, PoolSpawnFailuresDegradeToFewerWorkers) {
     EXPECT_EQ(pool.stats().spawn_failures, 2u);
     EXPECT_EQ(pool.concurrency(), 3u);  // 2 surviving workers + caller
     std::atomic<std::uint64_t> sum{0};
-    pool.parallel_for(0, 10000, [&](std::size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
+    pool.parallel_for_chunks(0, 10000, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i)
+        sum.fetch_add(i, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 10000u * 9999u / 2);
   }
@@ -748,8 +750,8 @@ TEST(FaultSites, EveryCataloguedSiteSurvivesInjection) {
       parallel::ThreadPool pool(4);
       EXPECT_EQ(pool.stats().spawn_failures, 2u);
       std::atomic<int> count{0};
-      pool.parallel_for(0, 100, [&](std::size_t) {
-        count.fetch_add(1, std::memory_order_relaxed);
+      pool.parallel_for_chunks(0, 100, [&](std::size_t lo, std::size_t hi) {
+        count.fetch_add(static_cast<int>(hi - lo), std::memory_order_relaxed);
       });
       EXPECT_EQ(count.load(), 100);
     } else if (name == fault::sites::kSatSolve) {

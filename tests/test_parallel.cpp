@@ -4,8 +4,8 @@
 /// This suite carries the ctest `tsan` label: it is the primary target of
 /// the SIMSWEEP_SANITIZE=thread build (README "Sanitizer &
 /// static-analysis builds"). Under SIMSWEEP_CHECKED it additionally runs
-/// the CheckedProtocol death tests, which deliberately violate the staged
-/// executor's protocol and expect the shadow-tracking to abort.
+/// the CheckedProtocol death tests, which deliberately violate the
+/// executor's job protocol and expect the shadow-tracking to abort.
 
 #include "parallel/thread_pool.hpp"
 
@@ -25,27 +25,41 @@
 namespace simsweep::parallel {
 namespace {
 
+/// A pool whose only worker failed to spawn: every launch runs inline.
+std::unique_ptr<ThreadPool> workerless_pool() {
+  fault::FaultPlan spawn;
+  spawn.on_hit(fault::sites::kPoolSpawn, 1);
+  fault::ScopedFaultPlan scoped(spawn);
+  return std::make_unique<ThreadPool>(1);
+}
+
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(10000);
-  pool.parallel_for(0, hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_chunks(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+  });
   for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, EmptyAndTinyRanges) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
-  pool.parallel_for(5, 5, [&](std::size_t) { count.fetch_add(1); });
+  const auto count_items = [&](std::size_t lo, std::size_t hi) {
+    count.fetch_add(static_cast<int>(hi - lo));
+  };
+  pool.parallel_for_chunks(5, 5, count_items);
   EXPECT_EQ(count.load(), 0);
-  pool.parallel_for(0, 3, [&](std::size_t) { count.fetch_add(1); });
+  pool.parallel_for_chunks(0, 3, count_items);
   EXPECT_EQ(count.load(), 3);
 }
 
 TEST(ThreadPool, NonzeroBegin) {
   ThreadPool pool(2);
   std::atomic<std::uint64_t> sum{0};
-  pool.parallel_for(100, 1100, [&](std::size_t i) { sum.fetch_add(i); });
+  pool.parallel_for_chunks(100, 1100, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) sum.fetch_add(i);
+  });
   std::uint64_t expect = 0;
   for (std::size_t i = 100; i < 1100; ++i) expect += i;
   EXPECT_EQ(sum.load(), expect);
@@ -62,24 +76,44 @@ TEST(ThreadPool, ChunkedVariantSeesContiguousBlocks) {
   for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, ChunksSeeEveryIndexOnce) {
+  ThreadPool pool(3);
+  // Sizes straddling chunk boundaries: primes, powers of two +/- 1, and
+  // sizes below/around 2*concurrency (the inline-path threshold).
+  const std::size_t sizes[] = {1, 2, 3, 7, 8, 9, 63, 64, 65, 1021, 4096, 4099};
+  for (const std::size_t n : sizes) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
+      ASSERT_LT(lo, hi);
+      ASSERT_LE(hi, n);
+      for (std::size_t i = lo; i < hi; ++i)
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "size " << n << " index " << i;
+  }
+}
+
 TEST(ThreadPool, ReusableAcrossManyJobs) {
   ThreadPool pool(2);
   for (int round = 0; round < 50; ++round) {
     std::atomic<std::uint64_t> sum{0};
-    pool.parallel_for(0, 1000, [&](std::size_t i) { sum.fetch_add(i + 1); });
+    pool.parallel_for_chunks(0, 1000, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) sum.fetch_add(i + 1);
+    });
     ASSERT_EQ(sum.load(), 1000u * 1001 / 2);
   }
 }
 
 TEST(ThreadPool, ZeroWorkerPoolRunsInline) {
-  ThreadPool pool(0);
-  // hardware_concurrency-based default may still create workers; force a
-  // genuinely inline pool via a 1-thread machine emulation: concurrency is
-  // at least 1 either way, and the call must still be correct.
+  const std::unique_ptr<ThreadPool> pool = workerless_pool();
+  ASSERT_EQ(pool->concurrency(), 1u);
   std::atomic<int> count{0};
-  pool.parallel_for(0, 100, [&](std::size_t) { count.fetch_add(1); });
+  pool->parallel_for_chunks(0, 100, [&](std::size_t lo, std::size_t hi) {
+    count.fetch_add(static_cast<int>(hi - lo));
+  });
   EXPECT_EQ(count.load(), 100);
-  EXPECT_GE(pool.concurrency(), 1u);
+  EXPECT_EQ(pool->stats().inline_jobs, 1u);
 }
 
 TEST(ThreadPool, GlobalPoolSingleton) {
@@ -87,17 +121,21 @@ TEST(ThreadPool, GlobalPoolSingleton) {
   ThreadPool& b = ThreadPool::global();
   EXPECT_EQ(&a, &b);
   std::atomic<int> count{0};
-  parallel_for(0, 256, [&](std::size_t) { count.fetch_add(1); });
+  parallel_for_chunks(0, 256, [&](std::size_t lo, std::size_t hi) {
+    count.fetch_add(static_cast<int>(hi - lo));
+  });
   EXPECT_EQ(count.load(), 256);
 }
 
 TEST(ThreadPool, LargeGrainWork) {
   ThreadPool pool(3);
   std::vector<std::uint64_t> out(64, 0);
-  pool.parallel_for(0, out.size(), [&](std::size_t i) {
-    std::uint64_t acc = 0;
-    for (std::uint64_t k = 0; k < 10000; ++k) acc += (i + 1) * k % 97;
-    out[i] = acc;
+  pool.parallel_for_chunks(0, out.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::uint64_t acc = 0;
+      for (std::uint64_t k = 0; k < 10000; ++k) acc += (i + 1) * k % 97;
+      out[i] = acc;
+    }
   });
   for (std::size_t i = 0; i < out.size(); ++i) {
     std::uint64_t acc = 0;
@@ -107,9 +145,9 @@ TEST(ThreadPool, LargeGrainWork) {
 }
 
 TEST(ThreadPool, ConcurrentClientThreadsAreSerializedSafely) {
-  // Regression test: the portfolio checker calls parallel_for on the
-  // global pool from several client threads at once; jobs must not
-  // corrupt each other's ranges (this found a real bug).
+  // Regression test: the portfolio checker launches on the global pool
+  // from several client threads at once; jobs must not corrupt each
+  // other's ranges (this found a real bug).
   ThreadPool pool(2);
   constexpr int kClients = 4;
   constexpr std::size_t kN = 20000;
@@ -122,8 +160,10 @@ TEST(ThreadPool, ConcurrentClientThreadsAreSerializedSafely) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int round = 0; round < 20; ++round)
-        pool.parallel_for(0, kN, [&, c](std::size_t i) {
-          hits[c][i].fetch_add(1, std::memory_order_relaxed);
+        pool.parallel_for_chunks(0, kN, [&, c](std::size_t lo,
+                                               std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i)
+            hits[c][i].fetch_add(1, std::memory_order_relaxed);
         });
     });
   }
@@ -133,129 +173,74 @@ TEST(ThreadPool, ConcurrentClientThreadsAreSerializedSafely) {
       ASSERT_EQ(hits[c][i].load(), 20) << "client " << c << " index " << i;
 }
 
-TEST(StagePlan, StagesRunInOrderWithBarriers) {
-  // Stage s+1 must observe ALL of stage s's writes: each stage checks the
-  // previous stage's output for every index, so any barrier violation
-  // trips an assertion.
+/// Polls `flag` for up to ten seconds (a failing test must not hang).
+bool await(const std::atomic<bool>& flag) {
+  for (int i = 0; i < 100000 && !flag.load(); ++i)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  return flag.load();
+}
+
+TEST(Lanes, TwoLanesRunConcurrently) {
+  // Each lane waits, with a bound, for the other to start: a tiny launch
+  // run inline one lane after the other fails here.
   ThreadPool pool(3);
-  constexpr std::size_t kN = 10000;
-  constexpr int kStages = 6;
-  std::vector<std::atomic<int>> cells(kN);
-  std::atomic<int> violations{0};
-  StagePlan plan;
-  for (int s = 0; s < kStages; ++s) {
-    plan.stage(0, kN, [&, s](std::size_t i) {
-      if (cells[i].load(std::memory_order_relaxed) != s)
-        violations.fetch_add(1, std::memory_order_relaxed);
-      cells[i].store(s + 1, std::memory_order_relaxed);
-    });
-  }
-  ASSERT_TRUE(pool.run_stages(plan));
-  EXPECT_EQ(violations.load(), 0);
-  for (const auto& c : cells) ASSERT_EQ(c.load(), kStages);
-}
-
-TEST(StagePlan, ReRunnableWithRboundState) {
-  // A plan is built once and re-run per round with state rebound through
-  // captured references — the exhaustive simulator's usage pattern.
-  ThreadPool pool(2);
-  std::size_t round = 0;
-  std::vector<std::uint64_t> acc(4096, 0);
-  StagePlan plan;
-  plan.stage(0, acc.size(), [&](std::size_t i) { acc[i] += round; });
-  std::uint64_t expect = 0;
-  for (round = 1; round <= 5; ++round) {
-    ASSERT_TRUE(pool.run_stages(plan));
-    expect += round;
-  }
-  for (const auto& v : acc) ASSERT_EQ(v, expect);
-}
-
-TEST(StagePlan, EmptyAndSingleElementStages) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  StagePlan plan;
-  plan.stage(7, 7, [&](std::size_t) { count.fetch_add(100); });  // empty
-  plan.stage(3, 4, [&](std::size_t i) { count.fetch_add(static_cast<int>(i)); });
-  plan.stage(0, 0, [&](std::size_t) { count.fetch_add(100); });  // empty
-  plan.stage(0, 1, [&](std::size_t) { count.fetch_add(1); });
-  ASSERT_TRUE(pool.run_stages(plan));
-  EXPECT_EQ(count.load(), 4);
-
-  StagePlan empty;
-  EXPECT_TRUE(pool.run_stages(empty));
-}
-
-TEST(StagePlan, ChunkStagesSeeEveryIndexOnce) {
-  ThreadPool pool(3);
-  // Sizes straddling chunk boundaries: primes, powers of two +/- 1, and
-  // sizes below/around 2*concurrency (the inline-path threshold).
-  const std::size_t sizes[] = {1, 2, 3, 7, 8, 9, 63, 64, 65, 1021, 4096, 4099};
-  for (const std::size_t n : sizes) {
-    std::vector<std::atomic<int>> hits(n);
-    StagePlan plan;
-    plan.stage_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
-      ASSERT_LT(lo, hi);
-      ASSERT_LE(hi, n);
-      for (std::size_t i = lo; i < hi; ++i)
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    ASSERT_TRUE(pool.run_stages(plan));
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(hits[i].load(), 1) << "size " << n << " index " << i;
-  }
-}
-
-TEST(StagePlan, PresetCancelRunsNothing) {
-  ThreadPool pool(2);
-  std::atomic<bool> cancel{true};
-  std::atomic<int> count{0};
-  StagePlan plan;
-  plan.set_cancel(&cancel);
-  plan.stage(0, 1000, [&](std::size_t) { count.fetch_add(1); });
-  plan.stage(0, 1000, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_FALSE(pool.run_stages(plan));
-  EXPECT_EQ(count.load(), 0);
-}
-
-TEST(StagePlan, MidRunCancelSkipsLaterStages) {
-  ThreadPool pool(2);
-  std::atomic<bool> cancel{false};
-  std::atomic<int> first{0};
-  std::atomic<int> second{0};
-  StagePlan plan;
-  plan.set_cancel(&cancel);
-  plan.stage(0, 64, [&](std::size_t) {
-    first.fetch_add(1);
-    cancel.store(true);  // fires during stage 0
+  std::atomic<bool> started[2] = {false, false};
+  std::atomic<int> met{0};
+  pool.run_lanes(2, [&](std::size_t i) {
+    started[i].store(true);
+    if (await(started[1 - i])) met.fetch_add(1);
   });
-  plan.stage(0, 100000, [&](std::size_t) { second.fetch_add(1); });
-  EXPECT_FALSE(pool.run_stages(plan));
-  // Stage 1 must have been (almost entirely) skipped: at most the chunks
-  // already claimed before the flag was observed may run, and the barrier
-  // skip means none at all once stage 0's last chunk retires.
-  EXPECT_EQ(second.load(), 0);
-  EXPECT_GT(first.load(), 0);
+  EXPECT_EQ(met.load(), 2);
+  EXPECT_EQ(pool.stats().inline_jobs, 0u);
 }
 
-TEST(StagePlan, ConcurrentClientsRunningPlans) {
-  // Several client threads each repeatedly run their own multi-stage
-  // plan on a shared pool: whole jobs must serialize without mixing.
+TEST(Lanes, ZeroWorkerPoolRunsInline) {
+  const std::unique_ptr<ThreadPool> pool = workerless_pool();
+  ASSERT_EQ(pool->concurrency(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(5, 0);  // no atomics: the caller runs every lane
+  bool on_caller = true;
+  pool->run_lanes(hits.size(), [&](std::size_t i) {
+    ++hits[i];
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  for (const int h : hits) EXPECT_EQ(h, 1);
+  EXPECT_TRUE(on_caller);
+  EXPECT_EQ(pool->stats().inline_jobs, 1u);
+}
+
+TEST(Lanes, EmptyAndSingleLaneLaunches) {
+  // No lane is no launch; a single lane is still handed to the pool.
+  ThreadPool pool(2);
+  std::atomic<int> count{0};
+  pool.run_lanes(0, [&](std::size_t) { count.fetch_add(100); });
+  EXPECT_EQ(count.load(), 0);
+  EXPECT_EQ(pool.stats().jobs, 0u);
+  pool.run_lanes(1, [&](std::size_t i) {
+    count.fetch_add(static_cast<int>(i) + 1);
+  });
+  EXPECT_EQ(count.load(), 1);
+  EXPECT_EQ(pool.stats().jobs, 1u);
+  EXPECT_EQ(pool.stats().inline_jobs, 0u);
+}
+
+TEST(Lanes, ConcurrentClientsRunningLanes) {
+  // Several client threads each repeatedly run lanes over their own data
+  // on a shared pool: whole jobs must serialize without mixing.
   ThreadPool pool(2);
   constexpr int kClients = 4;
+  constexpr std::size_t kLanes = 6;
   constexpr std::size_t kN = 3000;
   std::vector<std::thread> clients;
   std::atomic<int> failures{0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
       std::vector<int> data(kN, 0);
-      StagePlan plan;
-      plan.stage(0, kN, [&](std::size_t i) { data[i] += 1; });
-      plan.stage(0, kN, [&](std::size_t i) { data[i] *= 2; });
-      plan.stage(0, kN, [&](std::size_t i) { data[i] += 3; });
       for (int round = 0; round < 10; ++round) {
         std::fill(data.begin(), data.end(), 0);
-        if (!pool.run_stages(plan)) failures.fetch_add(1);
+        pool.run_lanes(kLanes, [&](std::size_t lane) {
+          for (std::size_t i = lane; i < kN; i += kLanes) data[i] += 5;
+        });
         for (std::size_t i = 0; i < kN; ++i)
           if (data[i] != 5) failures.fetch_add(1);
       }
@@ -265,142 +250,102 @@ TEST(StagePlan, ConcurrentClientsRunningPlans) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(StagePlan, StressManyStagesManyRounds) {
-  // Pipeline stress: alternating wide/narrow stages re-run many times,
-  // checking a value that depends on every stage having run in order.
-  ThreadPool pool(3);
-  constexpr std::size_t kN = 2048;
-  std::vector<std::uint64_t> data(kN, 0);
-  std::atomic<std::uint64_t> narrow_sum{0};
-  StagePlan plan;
-  for (int rep = 0; rep < 4; ++rep) {
-    plan.stage(0, kN, [&](std::size_t i) { data[i] += i; });
-    plan.stage(0, 1, [&](std::size_t) {
-      std::uint64_t s = 0;
-      for (const auto& v : data) s += v;
-      narrow_sum.store(s);
-    });
-  }
-  for (int round = 1; round <= 8; ++round) {
-    ASSERT_TRUE(pool.run_stages(plan));
-    // After round r, data[i] == 4*r*i; the final narrow stage saw it all.
-    const std::uint64_t n = kN;
-    ASSERT_EQ(narrow_sum.load(), 4ull * round * (n * (n - 1) / 2));
-  }
-}
-
-TEST(StagePlan, GlobalParallelStagesWrapper) {
-  std::atomic<int> count{0};
-  StagePlan plan;
-  plan.stage(0, 512, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_TRUE(parallel_stages(plan));
-  EXPECT_EQ(count.load(), 512);
-}
-
-/// Polls `flag` for up to ten seconds (a failing test must not hang).
-bool await(const std::atomic<bool>& flag) {
-  for (int i = 0; i < 100000 && !flag.load(); ++i)
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  return flag.load();
-}
-
-TEST(StagePlan, RunBesideOverlapsTheHostTaskWithThePlan) {
-  // The workers start on the plan while the caller runs its host task; the
-  // host here only returns once a worker ran a plan item, and every item
+TEST(Lanes, RunBesideOverlapsTheHostTaskWithTheLanes) {
+  // The workers start on the lanes while the caller runs its host task;
+  // the host here only returns once a worker ran a lane, and every lane
   // runs exactly once.
   ThreadPool pool(2);
   std::atomic<bool> item_ran{false};
   std::atomic<int> items{0};
-  StagePlan plan;
-  plan.set_granular(true);
-  plan.stage(0, 4, [&](std::size_t) {
-    items.fetch_add(1);
-    item_ran.store(true);
-  });
   bool host_saw_item = false;
-  ASSERT_TRUE(pool.run_beside(plan, [&] { host_saw_item = await(item_ran); }));
+  ASSERT_TRUE(pool.run_beside(
+      4,
+      [&](std::size_t) {
+        items.fetch_add(1);
+        item_ran.store(true);
+      },
+      [&] { host_saw_item = await(item_ran); }));
   EXPECT_TRUE(host_saw_item);
   EXPECT_EQ(items.load(), 4);
 }
 
-TEST(StagePlan, RunBesideDeclinesWithoutWorkersOrWhenBusy) {
-  StagePlan plan;
-  plan.set_granular(true);
+TEST(Lanes, RunBesideDeclinesWithoutWorkersOrWhenBusy) {
   std::atomic<int> items{0};
-  plan.stage(0, 2, [&](std::size_t) { items.fetch_add(1); });
+  const auto lane = [&](std::size_t) { items.fetch_add(1); };
   bool host_ran = false;
   {
     // A pool whose only worker failed to spawn runs neither.
-    fault::FaultPlan spawn;
-    spawn.on_hit(fault::sites::kPoolSpawn, 1);
-    std::unique_ptr<ThreadPool> lone;
-    {
-      fault::ScopedFaultPlan scoped(spawn);
-      lone = std::make_unique<ThreadPool>(1);
-    }
+    const std::unique_ptr<ThreadPool> lone = workerless_pool();
     ASSERT_EQ(lone->concurrency(), 1u);
-    EXPECT_FALSE(lone->run_beside(plan, [&] { host_ran = true; }));
+    EXPECT_FALSE(lone->run_beside(2, lane, [&] { host_ran = true; }));
   }
   {
     // Another client's job holds the pool: declined at once, no waiting.
     ThreadPool pool(1);
     std::atomic<bool> holding{false};
     std::atomic<bool> release{false};
-    StagePlan busy;
-    busy.set_granular(true);
-    busy.stage(0, 1, [&](std::size_t) {
-      holding.store(true);
-      await(release);
+    std::thread other([&] {
+      pool.run_lanes(1, [&](std::size_t) {
+        holding.store(true);
+        await(release);
+      });
     });
-    std::thread other([&] { pool.run_stages(busy); });
     ASSERT_TRUE(await(holding));
-    EXPECT_FALSE(pool.run_beside(plan, [&] { host_ran = true; }));
+    EXPECT_FALSE(pool.run_beside(2, lane, [&] { host_ran = true; }));
     release.store(true);
     other.join();
+    // No lanes: declined as well.
+    EXPECT_FALSE(pool.run_beside(0, lane, [&] { host_ran = true; }));
     // Free again: now it runs.
-    EXPECT_TRUE(pool.run_beside(plan, [] {}));
+    EXPECT_TRUE(pool.run_beside(2, lane, [] {}));
     EXPECT_EQ(items.load(), 2);
   }
   EXPECT_FALSE(host_ran);
 }
 
-TEST(StagePlan, RunBesideRethrowsTheHostsExceptionAfterTheJoin) {
+TEST(Lanes, RunBesideRethrowsTheHostsExceptionAfterTheJoin) {
   ThreadPool pool(2);
   std::atomic<int> items{0};
-  StagePlan plan;
-  plan.set_granular(true);
-  plan.stage(0, 8, [&](std::size_t) { items.fetch_add(1); });
-  EXPECT_THROW(pool.run_beside(plan, [] { throw std::runtime_error("host"); }),
-               std::runtime_error);
+  EXPECT_THROW(
+      pool.run_beside(
+          8, [&](std::size_t) { items.fetch_add(1); },
+          [] { throw std::runtime_error("host"); }),
+      std::runtime_error);
   EXPECT_EQ(items.load(), 8);  // joined before the rethrow
   std::atomic<int> after{0};
-  pool.parallel_for(0, 1000, [&](std::size_t) { after.fetch_add(1); });
+  pool.parallel_for_chunks(0, 1000, [&](std::size_t lo, std::size_t hi) {
+    after.fetch_add(static_cast<int>(hi - lo));
+  });
   EXPECT_EQ(after.load(), 1000);
 }
 
 TEST(ThreadPoolStress, MixedConcurrentSubmitters) {
   // TSan stress target: client threads concurrently submitting all three
-  // job kinds (parallel_for, parallel_for_chunks, multi-stage plans) to
-  // one pool. Any serialization bug — a job observing another job's
-  // slots, a stale control word, a lost wakeup — shows up as a checksum
-  // mismatch here (and as a race report under SIMSWEEP_SANITIZE=thread).
+  // launch shapes (parallel_for_chunks, run_lanes, run_beside) to one
+  // pool. Any serialization bug — a job observing another job's state, a
+  // stale control word, a lost wakeup — shows up as a checksum mismatch
+  // here (and as a race report under SIMSWEEP_SANITIZE=thread).
   ThreadPool pool(3);
   constexpr int kClients = 6;
   constexpr int kRounds = 8;
   constexpr std::size_t kN = 4096;
+  constexpr std::size_t kLanes = 4;
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       std::vector<std::uint64_t> data(kN, 0);
+      // Lane l fills [kN/2, kN) at stride kLanes; the host fills the rest.
+      const auto lane = [&](std::size_t l) {
+        for (std::size_t i = kN / 2 + l; i < kN; i += kLanes) data[i] = i + 1;
+      };
+      const auto host = [&] {
+        for (std::size_t i = 0; i < kN / 2; ++i) data[i] = i + 1;
+      };
       for (int round = 0; round < kRounds; ++round) {
         std::fill(data.begin(), data.end(), 0);
         switch ((c + round) % 3) {
           case 0: {
-            pool.parallel_for(0, kN, [&](std::size_t i) { data[i] = i + 1; });
-            break;
-          }
-          case 1: {
             pool.parallel_for_chunks(0, kN,
                                      [&](std::size_t lo, std::size_t hi) {
                                        for (std::size_t i = lo; i < hi; ++i)
@@ -408,11 +353,17 @@ TEST(ThreadPoolStress, MixedConcurrentSubmitters) {
                                      });
             break;
           }
+          case 1: {
+            host();
+            pool.run_lanes(kLanes, lane);
+            break;
+          }
           default: {
-            StagePlan plan;
-            plan.stage(0, kN, [&](std::size_t i) { data[i] = i; });
-            plan.stage(0, kN, [&](std::size_t i) { data[i] += 1; });
-            if (!pool.run_stages(plan)) failures.fetch_add(1);
+            // Declined while another client holds the pool: run both.
+            if (!pool.run_beside(kLanes, lane, host)) {
+              host();
+              pool.run_lanes(kLanes, lane);
+            }
             break;
           }
         }
@@ -444,10 +395,13 @@ TEST(RngThreading, ForkedStreamsDeterministicAcrossSchedules) {
   ThreadPool pool(3);
   for (int rep = 0; rep < 4; ++rep) {  // vary scheduling a few times
     std::vector<std::uint64_t> par(kStreams * kDraws, 0);
-    pool.parallel_for(0, kStreams, [&](std::size_t s) {
-      Rng rng = parent.fork(s);  // worker-owned instance, no sharing
-      for (std::size_t d = 0; d < kDraws; ++d)
-        par[s * kDraws + d] = rng.next64();
+    pool.parallel_for_chunks(0, kStreams, [&](std::size_t lo,
+                                              std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s) {
+        Rng rng = parent.fork(s);  // worker-owned instance, no sharing
+        for (std::size_t d = 0; d < kDraws; ++d)
+          par[s * kDraws + d] = rng.next64();
+      }
     });
     ASSERT_EQ(par, serial) << "rep " << rep;
   }
@@ -470,17 +424,27 @@ TEST(RngThreading, ForkIsConstAndOrderIndependent) {
 
 TEST(CheckedProtocol, CleanRunDoesNotAbort) {
   // The shadow-tracking must be invisible for a correct execution: every
-  // kind of job runs to completion under SIMSWEEP_CHECKED.
+  // launch shape runs to completion under SIMSWEEP_CHECKED.
   ThreadPool pool(3);
   std::atomic<std::uint64_t> sum{0};
-  pool.parallel_for(0, 10000, [&](std::size_t i) { sum.fetch_add(i); });
+  pool.parallel_for_chunks(0, 10000, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) sum.fetch_add(i);
+  });
   EXPECT_EQ(sum.load(), 10000ull * 9999 / 2);
-  StagePlan plan;
   std::atomic<int> count{0};
-  plan.stage(0, 5000, [&](std::size_t) { count.fetch_add(1); });
-  plan.stage(0, 5000, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_TRUE(pool.run_stages(plan));
+  pool.run_lanes(5000, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 5000);
+  EXPECT_TRUE(pool.run_beside(
+      5000, [&](std::size_t) { count.fetch_add(1); }, [] {}));
   EXPECT_EQ(count.load(), 10000);
+}
+
+/// A data-parallel launch large enough to be distributed.
+void sum_indices(ThreadPool& pool) {
+  std::atomic<std::uint64_t> sum{0};
+  pool.parallel_for_chunks(0, 100000, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) sum.fetch_add(i);
+  });
 }
 
 TEST(CheckedProtocol, DoubleClaimAborts) {
@@ -489,9 +453,7 @@ TEST(CheckedProtocol, DoubleClaimAborts) {
       {
         ThreadPool pool(3);
         checked_inject_fault_for_test(CheckedFault::kDoubleClaim);
-        std::atomic<std::uint64_t> sum{0};
-        pool.parallel_for(0, 100000,
-                          [&](std::size_t i) { sum.fetch_add(i); });
+        sum_indices(pool);
       },
       "SIMSWEEP_CHECKED violation");
 }
@@ -502,9 +464,7 @@ TEST(CheckedProtocol, DoubleRetireAborts) {
       {
         ThreadPool pool(3);
         checked_inject_fault_for_test(CheckedFault::kDoubleRetire);
-        std::atomic<std::uint64_t> sum{0};
-        pool.parallel_for(0, 100000,
-                          [&](std::size_t i) { sum.fetch_add(i); });
+        sum_indices(pool);
       },
       "SIMSWEEP_CHECKED violation");
 }

@@ -8,7 +8,7 @@
 /// Suite names carry the "ParallelSweep" and "SweepProbe" prefixes on
 /// purpose: the checked-executor leg of tools/run_static_analysis.sh and
 /// the CI tsan job select them by those regexes (together with
-/// ThreadPool/StagePlan/Checked).
+/// ThreadPool/Lanes/Checked).
 
 #include <gtest/gtest.h>
 

@@ -127,6 +127,37 @@ TEST(Solver, ConflictBudgetReturnsUnknown) {
   EXPECT_EQ(s.solve({}, -1), Solver::Result::kUnsat);
 }
 
+TEST(Solver, RaisedInterruptStopsTheCallAtItsFirstConflict) {
+  // A probe slice can be a few hundred conflicts; the hook must be polled
+  // at every conflict, or a short call whose answer is no longer needed
+  // runs its whole budget. Pigeonhole 8/7 needs thousands of conflicts.
+  constexpr int kHoles = 7;
+  Solver s;
+  std::vector<std::vector<Var>> x(kHoles + 1, std::vector<Var>(kHoles));
+  for (auto& row : x)
+    for (Var& v : row) v = s.new_var();
+  for (const auto& row : x) {
+    std::vector<Lit> some_hole;
+    for (const Var v : row) some_hole.push_back(mk_lit(v));
+    s.add_clause(some_hole);
+  }
+  for (int h = 0; h < kHoles; ++h)
+    for (int p = 0; p <= kHoles; ++p)
+      for (int q = p + 1; q <= kHoles; ++q)
+        s.add_clause(mk_lit(x[p][h], true), mk_lit(x[q][h], true));
+  int polls = 0;
+  s.interrupt = [&polls] {
+    ++polls;
+    return true;
+  };
+  EXPECT_EQ(s.solve({}, 200), Solver::Result::kUnknown);
+  EXPECT_EQ(s.conflicts, 1u);
+  EXPECT_EQ(polls, 1);
+  // Lowered again, the same solver still reaches the answer.
+  s.interrupt = nullptr;
+  EXPECT_EQ(s.solve(), Solver::Result::kUnsat);
+}
+
 /// A CNF as variable count + clause list.
 struct Cnf {
   int num_vars = 0;
