@@ -1,10 +1,7 @@
 #include "engine/engine.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <thread>
-
 #include <algorithm>
+#include <atomic>
 
 #include "common/log.hpp"
 #include "common/timer.hpp"
@@ -56,57 +53,18 @@ void accumulate_attempt_stats(EngineStats& next, const EngineStats& prev) {
 EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   Timer total;
 
-  // Watchdog: folds the optional wall-clock budget and the caller's
-  // cancellation flag into one flag polled by every phase checkpoint.
-  //
-  // Shared mutable state of this function (annotation audit): `stop` is
-  // written by the watchdog thread and read (relaxed) by the host thread
-  // and pool workers via effective.cancel — a monotonic latch, so relaxed
-  // order suffices and no lock is needed. `done` is the host-to-watchdog
-  // shutdown latch; the join() below provides the final happens-before
-  // edge, so everything the watchdog wrote is visible before finish()
-  // returns. `total` (Timer) is written once at construction and only
-  // read concurrently afterwards.
-  std::atomic<bool> stop{false};
-  std::atomic<bool> done{false};
-  // audit:exempt(dedicated watchdog thread: it must keep ticking while
-  // the pool is saturated by the job it supervises)
-  std::thread watchdog;
-  EngineParams effective = params_;
-  if (params_.time_limit > 0 || params_.cancel != nullptr) {
-    effective.cancel = &stop;
-    // Seed the folded flag synchronously: if the caller cancelled before
-    // the call, no phase may run at all (the watchdog alone would leave a
-    // 20 ms window in which a fast miter could still be decided).
-    if (params_.cancel != nullptr &&
-        params_.cancel->load(std::memory_order_relaxed))
-      stop.store(true, std::memory_order_relaxed);
-    // audit:exempt(see watchdog declaration above)
-    watchdog = std::thread([&] {
-      while (!done.load(std::memory_order_relaxed)) {
-        if (params_.cancel != nullptr &&
-            params_.cancel->load(std::memory_order_relaxed))
-          stop.store(true, std::memory_order_relaxed);
-        if (params_.time_limit > 0 && total.seconds() > params_.time_limit)
-          stop.store(true, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    });
-  }
-
-  detail::EngineContext ctx{effective, std::move(miter), {}, {}, {},
-                            false,     {},               params_.local_passes};
+  detail::EngineContext ctx{params_, std::move(miter), {}, {}, {},
+                            false,   {},               params_.local_passes};
   ctx.stats.initial_ands = ctx.miter.num_ands();
   ctx.stats.pos_total = ctx.miter.num_pos();
+  // Run budget (DESIGN.md §2.4): one deadline that caps every phase's.
+  ctx.run_deadline = fault::Deadline::after(params_.time_limit);
 
   // Resource governor (DESIGN.md §2.4): the ladder's working parameters
   // start from the configured ones, and the memory ledger is either the
   // caller's (portfolio-shared budget) or a run-private one.
   ctx.degrade.memory_words = params_.memory_words;
   ctx.degrade.window_merging = params_.window_merging;
-  // Incremental simulation A/B lever (DESIGN.md §2.7): disabled, every
-  // sync() re-simulates the whole bank and rebuilds classes from scratch.
-  ctx.inc.set_enabled(params_.incremental_sim);
   std::optional<fault::MemoryLedger> local_ledger;
   if (params_.memory_ledger != nullptr)
     ctx.ledger = params_.memory_ledger;
@@ -126,12 +84,10 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
 
   EngineResult result;
   auto finish = [&](Verdict verdict) {
-    done.store(true, std::memory_order_relaxed);
-    if (watchdog.joinable()) watchdog.join();
     ctx.stats.final_ands = ctx.miter.num_ands();
     ctx.stats.total_seconds = total.seconds();
     // Everything outside the three phase timers: simulation init, EC
-    // building, rebuilds, watchdog setup. Clamped at 0 against timer skew.
+    // building, rebuilds. Clamped at 0 against timer skew.
     ctx.stats.other_seconds = std::max(
         0.0, ctx.stats.total_seconds -
                  (ctx.stats.po_seconds + ctx.stats.global_seconds +
@@ -151,15 +107,11 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
         registry.add(obs::metric::kFaultsSitePrefix + site, fires - before);
     }
     publish_degrade_stats(registry, ctx.degrade);
-    // Incremental carry-over section (DESIGN.md §2.7). Published even when
-    // all-zero so every report carries the partial_sim.carryover family.
-    const sim::CarryStats& cs = ctx.inc.stats();
-    registry.add(obs::metric::kPartialSimIncrementalWords,
-                 cs.incremental_words);
-    registry.add(obs::metric::kPartialSimFullResims, cs.full_resims);
-    registry.add(obs::metric::kPartialSimCarryClasses, cs.carry_classes);
-    registry.add(obs::metric::kPartialSimCarryDropped, cs.carry_dropped);
-    registry.add(obs::metric::kPartialSimCarryFallbacks, cs.carry_fallbacks);
+    // Partial-simulation section (DESIGN.md §2.7), zero-added like the
+    // sections around it so every report carries both rows; the G and L
+    // phases add the real counts.
+    registry.add(obs::metric::kPartialSimIncrementalWords, 0);
+    registry.add(obs::metric::kPartialSimFullResims, 0);
     // Checkpoint/supervisor sections (DESIGN.md §2.8). Zero-added like
     // the faults/degrade sections above so every v3 report carries both
     // families; the ckpt layer and the cec_tool supervisor add the real
@@ -186,9 +138,11 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   if (aig::miter_disproved(ctx.miter)) return finish(Verdict::kNotEquivalent);
   if (aig::miter_proved(ctx.miter)) return finish(Verdict::kEquivalent);
 
+  // Phase-boundary stop check: the caller's cancel flag or the run budget.
   auto cancelled = [&] {
-    return ctx.params.cancel != nullptr &&
-           ctx.params.cancel->load(std::memory_order_relaxed);
+    return (params_.cancel != nullptr &&
+            params_.cancel->load(std::memory_order_relaxed)) ||
+           ctx.run_deadline.expired();
   };
   if (cancelled()) return finish(Verdict::kUndecided);
 

@@ -41,7 +41,6 @@
 #include "common/verdict.hpp"
 #include "fault/governor.hpp"
 #include "obs/registry.hpp"
-#include "sim/incremental.hpp"
 #include "sim/partial_sim.hpp"
 
 namespace simsweep::engine {
@@ -160,12 +159,6 @@ struct EngineParams {
   bool enable_po_phase = true;
   bool enable_global_phase = true;
   std::array<bool, 3> local_passes{true, true, true};  ///< Table I passes
-  /// Incremental simulation & EC carry-over (DESIGN.md §2.7). Off =
-  /// pre-incremental behaviour — full re-simulation and a fresh class
-  /// build at every phase entry and refinement round (the A/B lever of
-  /// bench_incremental). The verdict is identical either way; only the
-  /// work to reach it differs.
-  bool incremental_sim = true;
 
   // --- Paper §V (Discussion) extensions. ---
   /// Distance-1 CEX simulation [Mishchenko et al., ICCAD'06]: every
@@ -191,14 +184,17 @@ struct EngineParams {
   /// Capture intermediate miters after the P and G phases (paper Fig. 7).
   bool capture_snapshots = false;
 
-  /// Cooperative cancellation (portfolio use): checked between phases,
-  /// between refinement iterations and between simulation rounds. When it
+  /// Cooperative cancellation (portfolio use): read directly by every
+  /// phase boundary, refinement iteration and simulation tile. When it
   /// fires the engine returns kUndecided with the current reduced miter.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Wall-clock budget in seconds (0 = unbounded). Enforced through the
-  /// same cancellation checkpoints via an internal watchdog, so expiry
-  /// yields kUndecided with whatever reduction was achieved so far.
+  /// Wall-clock budget in seconds (0 = unbounded) for the whole run. It
+  /// is one deadline that caps every phase deadline and is checked with
+  /// `cancel` at every phase boundary. Expiry inside a phase ends that
+  /// phase as its own deadline would: finished proofs are kept and the
+  /// expiry counts in `degrade.deadline_expiries`. The run then returns
+  /// kUndecided with whatever reduction was achieved so far.
   double time_limit = 0;
 
   // --- Resource governor & degradation ladder (DESIGN.md §2.4). ---
@@ -316,8 +312,9 @@ namespace detail {
 /// only through the executor's data-parallel calls, whose bodies write
 /// disjoint indices; the executor's submission/retirement protocol
 /// provides the happens-before edges back to the host. The only cell read
-/// concurrently is params.cancel (an atomic polled by workers and written
-/// by the engine watchdog / portfolio — see SimCecEngine::check_miter).
+/// concurrently is the caller's params.cancel (an atomic polled by
+/// workers and written by the caller, e.g. the portfolio or a signal
+/// handler).
 struct EngineContext {
   const EngineParams& params;
   aig::Aig miter;
@@ -340,11 +337,9 @@ struct EngineContext {
   /// Memory governor for this run: the caller's EngineParams::memory_ledger,
   /// an engine-private one (memory_budget_bytes > 0), or null (ungoverned).
   fault::MemoryLedger* ledger = nullptr;
-  /// Incremental simulation + EC carry-over state (DESIGN.md §2.7): one
-  /// Signatures matrix and one EcManager kept alive across phases,
-  /// delta-simulated on CEX absorption and translated through rebuild
-  /// lit_maps. check_miter() enables it from EngineParams.
-  sim::IncrementalState inc{};
+  /// The run budget (EngineParams::time_limit) as one deadline; every
+  /// phase deadline is capped by it (phase_deadline, phase_common.hpp).
+  fault::Deadline run_deadline{};
   /// Cached level schedule of the current miter, shared by partial
   /// simulation, window building and cut passes. Lazily built by
   /// level_schedule() (phase_common.hpp); reset at every rebuild.

@@ -13,7 +13,6 @@
 #include "fault/governor.hpp"
 #include "obs/metric_names.hpp"
 #include "sim/ec_manager.hpp"
-#include "sim/incremental.hpp"
 #include "window/window_merge.hpp"
 
 namespace simsweep::engine::detail {
@@ -187,12 +186,6 @@ inline void note_rebuild(EngineContext& ctx, std::size_t ands_before,
     r.add(obs::metric::kMiterAndsRemoved, ands_before - ands_after);
 }
 
-/// Records one sim::simulate() sweep under `partial_sim.*`.
-inline void note_partial_sim(EngineContext& ctx, std::size_t bank_words) {
-  ctx.obs->add(obs::metric::kPartialSimSimulateCalls);
-  ctx.obs->add(obs::metric::kPartialSimPatternWords, bank_words);
-}
-
 /// The current miter's cached level schedule (DESIGN.md §2.7), built on
 /// first use after each rebuild and shared by partial simulation, window
 /// building and the cut passes. Host thread only; the returned pointer is
@@ -203,54 +196,49 @@ inline const aig::LevelSchedule* level_schedule(EngineContext& ctx) {
   return &*ctx.schedule;
 }
 
-/// Publishes the full re-simulations one IncrementalState::sync() decided
-/// to perform (`before` = ctx.inc.stats() snapshot taken just before the
-/// sync). Delta-simulated columns are reported per run under
-/// partial_sim.incremental_words by check_miter's finish().
-inline void note_sync(EngineContext& ctx, const sim::CarryStats& before) {
-  const sim::CarryStats& now = ctx.inc.stats();
-  const std::uint64_t resims = now.full_resims - before.full_resims;
-  if (resims > 0 && ctx.bank) {
-    ctx.obs->add(obs::metric::kPartialSimSimulateCalls, resims);
-    ctx.obs->add(obs::metric::kPartialSimPatternWords,
-                 resims * ctx.bank->num_words());
-  }
+/// The phase's class partition (DESIGN.md §2.7): one simulation of the
+/// current miter over the whole bank and one fresh build, at phase entry.
+/// Recorded under `partial_sim.*` (one full simulation) and, through the
+/// manager's stats, under `ec.*` when the phase publishes them.
+inline sim::EcManager build_classes(EngineContext& ctx,
+                                    const aig::LevelSchedule* sched) {
+  sim::EcManager ec;
+  ec.build(ctx.miter, sim::simulate(ctx.miter, *ctx.bank, sched));
+  ctx.obs->add(obs::metric::kPartialSimSimulateCalls);
+  ctx.obs->add(obs::metric::kPartialSimPatternWords, ctx.bank->num_words());
+  ctx.obs->add(obs::metric::kPartialSimFullResims);
+  return ec;
+}
+
+/// A phase's deadline (DESIGN.md §2.4): a fresh phase_time_limit from
+/// now, capped by the run budget. Expiry of either routes the phase's
+/// remaining work to the undecided path and keeps its finished proofs.
+inline fault::Deadline phase_deadline(const EngineContext& ctx) {
+  return fault::Deadline::earlier(
+      fault::Deadline::after(ctx.params.phase_time_limit), ctx.run_deadline);
 }
 
 /// The engine's single rebuild site: applies a substitution map to the
-/// miter, carries the incremental simulation state through the rebuild's
-/// lit_map (DESIGN.md §2.7), drops the cached level schedule and records
-/// the reduction under `miter.*`. A failed carry-over (injected
-/// sim.carryover fault, stale state) degrades to a full re-simulation at
-/// the next sync — a ladder step the next sync recovers from.
+/// miter, drops the cached level schedule and records the reduction under
+/// `miter.*`.
 inline void apply_reduction(EngineContext& ctx,
                             const aig::SubstitutionMap& subst) {
   const std::size_t before_ands = ctx.miter.num_ands();
-  const std::uint64_t fallbacks_before = ctx.inc.stats().carry_fallbacks;
-  aig::RebuildResult rr = aig::rebuild(ctx.miter, subst);
-  ctx.inc.apply_rebuild(rr.aig, rr.lit_map);
-  if (ctx.inc.stats().carry_fallbacks > fallbacks_before) {
-    ++ctx.degrade.ladder_steps;
-    ++ctx.degrade.faults_recovered;
-  }
-  ctx.miter = std::move(rr.aig);
+  ctx.miter = aig::rebuild(ctx.miter, subst).aig;
   ctx.schedule.reset();
   note_rebuild(ctx, before_ands, ctx.miter.num_ands());
 }
 
-/// Publishes the deltas an EcManager accumulated since `since` under
-/// `ec.*` (each phase owns its manager, so publishing its lifetime stats
-/// once at phase end never double counts; `since` supports the G phase's
-/// per-iteration incremental publishing).
-inline void publish_ec_stats(EngineContext& ctx, const sim::EcStats& now,
-                             const sim::EcStats& since = {}) {
+/// Publishes a phase's EcManager stats under `ec.*` (each phase owns its
+/// manager, so publishing its lifetime stats once at phase end never
+/// double counts).
+inline void publish_ec_stats(EngineContext& ctx, const sim::EcStats& s) {
   obs::Registry& r = *ctx.obs;
-  r.add(obs::metric::kEcBuilds, now.builds - since.builds);
-  r.add(obs::metric::kEcRefines, now.refines - since.refines);
-  r.add(obs::metric::kEcClassesBuilt, now.classes_built - since.classes_built);
-  r.add(obs::metric::kEcClassSplits, now.class_splits - since.class_splits);
-  r.add(obs::metric::kEcClassesDissolved,
-        now.classes_dissolved - since.classes_dissolved);
+  r.add(obs::metric::kEcBuilds, s.builds);
+  r.add(obs::metric::kEcRefines, s.refines);
+  r.add(obs::metric::kEcClassesBuilt, s.classes_built);
+  r.add(obs::metric::kEcClassSplits, s.class_splits);
+  r.add(obs::metric::kEcClassesDissolved, s.classes_dissolved);
 }
 
 }  // namespace simsweep::engine::detail

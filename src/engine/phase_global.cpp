@@ -47,24 +47,19 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
           sim::PatternBank::random(miter.num_pis(), p.sim_words, p.seed);
     }
   }
-  // Incremental entry (DESIGN.md §2.7): the engine-wide signature/class
-  // state is brought up to date with (miter, bank) — a cheap delta when
-  // state was carried from the previous phase, a full re-simulation on
-  // the first phase or after a carry-over fallback. EC stats are deltas
-  // against phase entry because the manager now lives across phases.
+  // Phase entry (DESIGN.md §2.7): one simulation over the whole bank and
+  // one class build; each refinement round below simulates only its own
+  // CEX columns.
   const aig::LevelSchedule* sched = level_schedule(ctx);
-  const sim::CarryStats cs_entry = ctx.inc.stats();
-  const sim::EcStats ec_entry = ctx.inc.ec().stats();
-  sim::EcManager& ec = ctx.inc.sync(miter, *ctx.bank, sched);
-  note_sync(ctx, cs_entry);
+  sim::EcManager ec = build_classes(ctx, sched);
   SIMSWEEP_LOG_INFO("G phase: %zu initial equivalence classes",
                     ec.num_classes());
 
   aig::SubstitutionMap subst(miter.num_nodes());
 
-  // Per-phase deadline (DESIGN.md §2.4): expiry finishes the phase early
-  // with whatever was proved so far — the rest stays soundly undecided.
-  const fault::Deadline deadline = fault::Deadline::after(p.phase_time_limit);
+  // Phase deadline (DESIGN.md §2.4): expiry finishes the phase early with
+  // whatever was proved so far — the rest stays soundly undecided.
+  const fault::Deadline deadline = phase_deadline(ctx);
   bool phase_expired = false;
 
   for (unsigned iter = 0; iter < p.max_global_iters && !phase_expired;
@@ -130,7 +125,7 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
       const LadderOutcome ladder =
           run_batch_with_ladder(ctx, miter, std::move(batch), sim_params);
       if (ladder.cancelled) {  // outcomes invalid: finish the phase early
-        publish_ec_stats(ctx, ec.stats(), ec_entry);
+        publish_ec_stats(ctx, ec.stats());
         if (!subst.empty()) apply_reduction(ctx, subst);
         ctx.stats.global_seconds += t.seconds();
         return subst.num_merged();
@@ -181,25 +176,25 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
 
     if (collector.empty()) break;  // nothing left to refine
 
-    // Refinement round (DESIGN.md §2.7): the CEX columns are appended to
-    // the engine-wide bank (batched — a single amortized append) and the
-    // incremental state delta-simulates ONLY those new columns, refining
-    // the classes in the same step. Before the incremental layer this
-    // round simulated a scratch bank over the whole miter AND re-copied
-    // the full bank per column.
-    collector.flush_into(*ctx.bank);
+    // Refinement round (DESIGN.md §2.7): simulate only this round's CEX
+    // columns and split the classes with them — the same partition a
+    // build over the whole bank would give. The columns then join the
+    // bank, which later phases and checkpoints read.
+    sim::PatternBank cex_bank(miter.num_pis(), 0);
+    collector.flush_into(cex_bank);
+    ec.refine(sim::simulate(miter, cex_bank, sched));
+    ctx.obs->add(obs::metric::kPartialSimIncrementalWords,
+                 cex_bank.num_words());
+    ctx.bank->append(cex_bank);
     const std::size_t dropped = ctx.bank->truncate_front(p.max_pattern_words);
     if (dropped > 0) {
       ctx.obs->add(obs::metric::kPartialSimBankTruncations);
       ctx.obs->add(obs::metric::kPartialSimWordsDropped, dropped);
     }
-    const sim::CarryStats cs_round = ctx.inc.stats();
-    ctx.inc.sync(miter, *ctx.bank, sched);
-    note_sync(ctx, cs_round);
   }
 
   const std::size_t merged = subst.num_merged();
-  publish_ec_stats(ctx, ec.stats(), ec_entry);
+  publish_ec_stats(ctx, ec.stats());
   if (!subst.empty()) apply_reduction(ctx, subst);
   ctx.stats.global_seconds += t.seconds();
   return merged;

@@ -79,16 +79,11 @@ bool run_local_phase(EngineContext& ctx) {
       ctx.bank =
           sim::PatternBank::random(miter.num_pis(), p.sim_words, p.seed);
   }
-  // Incremental entry (DESIGN.md §2.7): classes carried over from the
-  // previous phase's rebuild (or delta-refined) instead of a full
-  // re-simulation + fresh build; EC stats publish as deltas since the
-  // manager lives across phases.
+  // Phase entry (DESIGN.md §2.7): classes built once from the current
+  // miter and bank; L does not refine them.
   const aig::LevelSchedule* sched = level_schedule(ctx);
-  const sim::CarryStats cs_entry = ctx.inc.stats();
-  const sim::EcStats ec_entry = ctx.inc.ec().stats();
-  sim::EcManager& ec = ctx.inc.sync(miter, *ctx.bank, sched);
-  note_sync(ctx, cs_entry);
-  publish_ec_stats(ctx, ec.stats(), ec_entry);
+  const sim::EcManager ec = build_classes(ctx, sched);
+  publish_ec_stats(ctx, ec.stats());
 
   std::vector<cut::PairTask> tasks;
   for (const sim::CandidatePair& pair : ec.candidate_pairs()) {
@@ -101,9 +96,9 @@ bool run_local_phase(EngineContext& ctx) {
   }
   SIMSWEEP_LOG_INFO("L phase: %zu candidate pairs", tasks.size());
 
-  // Per-phase deadline (DESIGN.md §2.4): an expired pass keeps its proofs
-  // and the remaining passes of this phase are skipped.
-  const fault::Deadline deadline = fault::Deadline::after(p.phase_time_limit);
+  // Phase deadline (DESIGN.md §2.4): an expired pass keeps its proofs and
+  // the remaining passes of this phase are skipped.
+  const fault::Deadline deadline = phase_deadline(ctx);
 
   cut::PassParams pass_params;
   pass_params.enum_params.cut_size = p.k_l;

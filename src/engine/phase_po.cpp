@@ -65,9 +65,9 @@ bool run_po_phase(EngineContext& ctx) {
                        ms.windows_before, ms.windows_after);
   }
 
-  // Per-phase deadline (DESIGN.md §2.4): expiry routes the remaining POs
-  // to the undecided path instead of cancelling the run.
-  const fault::Deadline deadline = fault::Deadline::after(p.phase_time_limit);
+  // Phase deadline (DESIGN.md §2.4): expiry routes the remaining POs to
+  // the undecided path instead of cancelling the run.
+  const fault::Deadline deadline = phase_deadline(ctx);
 
   exhaustive::Params sim;
   sim.collect_cex = true;

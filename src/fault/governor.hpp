@@ -9,8 +9,8 @@
 /// against one MemoryLedger before it happens, and a denied charge is a
 /// recoverable fault the degradation ladder answers by shrinking the
 /// unit and retrying — not an abort. Deadlines do the same for time:
-/// each engine phase gets its own wall-clock cap (in addition to the
-/// whole-engine `time_limit`), and expiry routes the phase's remaining
+/// each engine phase gets its own wall-clock cap, capped in turn by the
+/// whole-engine `time_limit`, and expiry routes the phase's remaining
 /// work to the sound undecided path.
 
 #include <atomic>
@@ -137,6 +137,13 @@ class Deadline {
                   std::chrono::duration<double>(seconds));
     }
     return d;
+  }
+
+  /// The earlier of two deadlines; an unbounded one never wins.
+  static Deadline earlier(const Deadline& a, const Deadline& b) {
+    if (!a.bounded_) return b;
+    if (!b.bounded_) return a;
+    return a.at_ <= b.at_ ? a : b;
   }
 
   bool bounded() const { return bounded_; }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <unordered_map>
 
-#include "aig/rebuild.hpp"
 
 namespace simsweep::sim {
 
@@ -128,60 +127,6 @@ std::vector<CandidatePair> EcManager::candidate_pairs() const {
     }
   }
   return pairs;
-}
-
-bool EcManager::translate(const std::vector<aig::Lit>& lit_map,
-                          std::size_t new_num_nodes, std::uint64_t* dropped) {
-  std::uint64_t drops = 0;
-  std::vector<std::vector<aig::Var>> next;
-  next.reserve(classes_.size());
-  std::vector<std::uint8_t> next_phase(new_num_nodes, 0);
-  // Members proved/removed before the rebuild have no meaningful image:
-  // proved nodes were substituted away (their new literal aliases the
-  // representative's). Skip them without counting them as drops.
-  std::vector<std::pair<aig::Var, bool>> members;  // (new var, new phase)
-  for (const auto& cls : classes_) {
-    members.clear();
-    for (const aig::Var v : cls) {
-      if (removed_[v]) continue;
-      assert(v < lit_map.size());
-      const aig::Lit nl = lit_map[v];
-      if (nl == aig::RebuildResult::kLitInvalid) {
-        ++drops;
-        continue;
-      }
-      const aig::Var nv = aig::lit_var(nl);
-      if (nv >= new_num_nodes) return false;  // malformed map
-      members.emplace_back(
-          nv, static_cast<bool>(phase_[v] ^ (aig::lit_compl(nl) ? 1 : 0)));
-    }
-    std::sort(members.begin(), members.end());
-    std::vector<aig::Var> out;
-    out.reserve(members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (i > 0 && members[i].first == members[i - 1].first) {
-        // Strash merge folded two class members onto one new node. Their
-        // phases must agree — both record the same function-vs-canon
-        // relation — else the carried state is inconsistent with the
-        // rebuild and the whole translation is rejected.
-        if (members[i].second != members[i - 1].second) return false;
-        continue;
-      }
-      out.push_back(members[i].first);
-      next_phase[members[i].first] = members[i].second ? 1 : 0;
-    }
-    if (out.size() < 2) {
-      drops += out.size();
-      continue;
-    }
-    next.push_back(std::move(out));
-  }
-  std::sort(next.begin(), next.end());
-  classes_ = std::move(next);
-  phase_ = std::move(next_phase);
-  removed_.assign(new_num_nodes, 0);
-  if (dropped != nullptr) *dropped += drops;
-  return true;
 }
 
 void EcManager::mark_proved(aig::Var node) {

@@ -67,20 +67,6 @@ class EcManager {
   /// multi-round mismatches — need the explicit form).
   void remove_node(aig::Var node);
 
-  /// Translates all classes through a rebuild's literal map (old var ->
-  /// new literal, RebuildResult::kLitInvalid for vars outside the cone), so
-  /// refinement state survives a miter reduction instead of restarting
-  /// from a fresh random build (DESIGN.md §2.7). Member phases compose
-  /// with the mapped literal's complement bit; invalid members and their
-  /// removed_ marks are dropped (counted into *dropped, which may be
-  /// null); classes shrinking below 2 members dissolve. Two old members
-  /// mapping to the same new var (strash merge during rebuild) must agree
-  /// on phase — a conflict means the caller's signatures and classes
-  /// disagree with the rebuild, and translate() returns false leaving the
-  /// manager UNCHANGED so the caller can fall back to a fresh build.
-  bool translate(const std::vector<aig::Lit>& lit_map,
-                 std::size_t new_num_nodes, std::uint64_t* dropped);
-
   std::size_t num_classes() const { return classes_.size(); }
   const std::vector<std::vector<aig::Var>>& classes() const {
     return classes_;

@@ -647,12 +647,7 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
       // snapshot's bank re-derives exactly these refined classes. Hook
       // exceptions are swallowed: checkpointing must never change the
       // verdict.
-      for (std::size_t w = 0; w < cex_bank.num_words(); ++w) {
-        std::vector<sim::Word> column(miter.num_pis());
-        for (unsigned pi = 0; pi < miter.num_pis(); ++pi)
-          column[pi] = cex_bank.word(pi, w);
-        bank.append_words(column);
-      }
+      bank.append(cex_bank);
       SweepCheckpointView view;
       view.miter = &miter;
       view.next_round = round + 1;

@@ -127,8 +127,8 @@ struct SweeperParams {
   parallel::ThreadPool* pool = nullptr;
   /// Cooperative cancellation (portfolio use): checked between SAT calls.
   /// Annotation audit: the only cross-thread cell of a sweep — written by
-  /// the portfolio/watchdog, read relaxed here; all other sweeper state
-  /// is owned by the calling thread.
+  /// the caller (portfolio, signal handler), read relaxed here; all other
+  /// sweeper state is owned by the calling thread.
   const std::atomic<bool>* cancel = nullptr;
   /// Optional PI pattern bank used to initialize the equivalence classes
   /// (appended to the random patterns). Feeding the engine's bank here

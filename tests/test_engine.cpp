@@ -8,8 +8,11 @@
 #include <atomic>
 
 #include "aig/aig_analysis.hpp"
+#include "aig/miter.hpp"
 #include "common/random.hpp"
+#include "common/timer.hpp"
 #include "gen/arith.hpp"
+#include "gen/suite.hpp"
 #include "opt/balance.hpp"
 #include "opt/resyn.hpp"
 #include "test_util.hpp"
@@ -349,6 +352,91 @@ TEST(Engine, CancellationYieldsUndecided) {
   p.cancel = &cancel;
   const EngineResult r = SimCecEngine(p).check_miter(m);
   EXPECT_EQ(r.verdict, Verdict::kUndecided);
+}
+
+TEST(Engine, RunBudgetExpiryReturnsUndecidedPromptly) {
+  // time_limit is one run deadline that caps every phase deadline, so its
+  // expiry ends the running phase at its next tile instead of waiting for
+  // a phase boundary.
+  const Aig m = aig::make_miter(gen::array_multiplier(16),
+                                gen::wallace_multiplier(16));
+  EngineParams p;
+  p.time_limit = 1.0;  // the unbudgeted run takes more than this
+  ASSERT_EQ(SimCecEngine(p).check_miter(m).verdict, Verdict::kUndecided);
+
+  p.time_limit = 0.05;
+  Timer t;
+  const EngineResult r = SimCecEngine(p).check_miter(m);
+  EXPECT_EQ(r.verdict, Verdict::kUndecided);
+  EXPECT_LT(t.seconds(), 0.5);
+  // The expiry ends a phase like its own deadline: finished proofs stay,
+  // nothing counts as a cancelled batch.
+  EXPECT_GT(r.report.count(obs::metric::kDegradeDeadlineExpiries), 0u);
+  EXPECT_EQ(r.report.count(obs::metric::kExhaustiveCancelledBatches), 0u);
+  // The reduced miter stays sound: the pair is equivalent, so every PO of
+  // the reduced miter is 0 on every sampled pattern.
+  ASSERT_EQ(r.reduced.num_pis(), m.num_pis());
+  Rng rng(11);
+  for (int k = 0; k < 64; ++k) {
+    std::vector<bool> pis(r.reduced.num_pis());
+    for (auto&& x : pis) x = rng.flip();
+    for (bool v : r.reduced.evaluate(pis)) ASSERT_FALSE(v);
+  }
+}
+
+TEST(Engine, GlobalPhaseBuildsOneClassPartition) {
+  // A one-word bank capped at one word: the first G iteration's CEXs (more
+  // than 64, so more than one column) overflow the cap. The phase still
+  // refines its one partition over the CEX columns; it never rebuilds
+  // classes from the truncated bank (which would propose pairs it already
+  // merged again).
+  gen::SuiteParams sp;
+  sp.doublings = 1;
+  const gen::BenchCase c = gen::make_case("log2", sp);
+  const Aig m = aig::make_miter(c.original, c.optimized);
+  EngineParams p = small_params();
+  p.enable_po_phase = false;
+  p.k_g = 12;
+  p.sim_words = 1;
+  p.max_pattern_words = 1;
+
+  EngineParams first = p;
+  first.max_global_iters = 1;
+  const EngineResult r1 = SimCecEngine(first).check_miter(m);
+  ASSERT_GT(r1.report.count(obs::metric::kEcCexsAbsorbed), 64u);
+  EXPECT_EQ(r1.report.count(obs::metric::kEcBuilds), 1u);
+
+  const EngineResult r = SimCecEngine(p).check_miter(m);
+  EXPECT_NE(r.verdict, Verdict::kNotEquivalent);
+  EXPECT_EQ(r.report.count(obs::metric::kEcBuilds), 1u);
+  EXPECT_GT(r.report.count(obs::metric::kEcRefines), 1u);
+  EXPECT_GT(r.report.count(obs::metric::kPartialSimWordsDropped), 1u);
+  // One simulation over the bank at phase entry; the refinement rounds
+  // simulate only their CEX columns.
+  EXPECT_EQ(r.report.count(obs::metric::kPartialSimFullResims), 1u);
+  EXPECT_GT(r.report.count(obs::metric::kPartialSimIncrementalWords), 1u);
+}
+
+TEST(Engine, FullFlowBuildsClassesOncePerPhaseEntry) {
+  // The full flow runs G, repeated L phases and escalated G. Each of those
+  // phases simulates the bank and builds its classes once, at entry, and
+  // nothing carries over to the next phase.
+  const Aig a = gen::array_multiplier(4);
+  const Aig b = gen::wallace_multiplier(4);
+  EngineParams p;
+  p.enable_po_phase = false;
+  p.k_P = 10;
+  p.k_p = 4;
+  p.k_g = 5;
+  p.k_l = 6;
+  p.memory_words = 1 << 16;
+  p = full_flow(p);
+  const EngineResult r = SimCecEngine(p).check(a, b);
+  EXPECT_EQ(r.verdict, Verdict::kEquivalent);
+  ASSERT_GT(r.stats.local_phases, 0u);
+  const std::uint64_t builds = r.report.count(obs::metric::kEcBuilds);
+  EXPECT_EQ(builds, r.report.count(obs::metric::kPartialSimFullResims));
+  EXPECT_GE(builds, 1 + r.stats.local_phases);  // one G entry at least
 }
 
 TEST(Engine, ArithmeticCrossImplementations) {

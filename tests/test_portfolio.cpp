@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 
@@ -12,7 +14,9 @@
 #include "aig/miter.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/resume.hpp"
+#include "common/timer.hpp"
 #include "gen/arith.hpp"
+#include "gen/suite.hpp"
 #include "opt/resyn.hpp"
 #include "test_util.hpp"
 #include "obs/metric_names.hpp"
@@ -212,6 +216,40 @@ TEST(Combined, ExhaustedBudgetShortCircuitsAttempts) {
   EXPECT_FALSE(r.used_sat);
   EXPECT_DOUBLE_EQ(r.sat_seconds, 0.0);
   EXPECT_DOUBLE_EQ(r.sweeper_time_limit, 0.0);
+}
+
+TEST(Combined, ArmedCancelAndBudgetAddNoPerCheckFloor) {
+  // A cancel flag that is never raised and a run budget are read where the
+  // phases already poll; they start no thread and add no fixed cost per
+  // check. log2 at doublings 0 checks in about a millisecond, so twenty
+  // armed checks must finish within 0.1 s of twenty unarmed ones. The best
+  // of three tries absorbs a loaded host.
+  gen::SuiteParams sp;
+  sp.doublings = 0;
+  const gen::BenchCase c = gen::make_case("log2", sp);
+  const Aig m = aig::make_miter(c.original, c.optimized);
+  CombinedParams unarmed;
+  unarmed.engine.k_P = 24;
+  unarmed.engine.k_p = 14;
+  unarmed.engine.k_g = 14;
+  unarmed.sweeper.num_threads = 1;
+  std::atomic<bool> cancel{false};
+  CombinedParams armed = unarmed;
+  armed.engine.cancel = &cancel;
+  armed.engine.time_limit = 60;
+  armed.sweeper.cancel = &cancel;
+  const auto twenty_checks = [&m](const CombinedParams& p) {
+    Timer t;
+    for (int k = 0; k < 20; ++k)
+      EXPECT_EQ(combined_check_miter(m, p).verdict, Verdict::kEquivalent);
+    return t.seconds();
+  };
+  double best_gap = 1e9;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const double base = twenty_checks(unarmed);
+    best_gap = std::min(best_gap, twenty_checks(armed) - base);
+  }
+  EXPECT_LT(best_gap, 0.1);
 }
 
 TEST(Combined, ResumedRunChargesElapsedAgainstDeadline) {

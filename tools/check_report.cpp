@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
       json,
       {obs::metric::kFaultsInjected, obs::metric::kFaultsRecovered,
        obs::metric::kDegradeLadderSteps, obs::metric::kDegradeUnitsAbandoned,
-       obs::metric::kPartialSimCarryClasses, obs::metric::kPartialSimFullResims,
+       obs::metric::kPartialSimFullResims,
        obs::metric::kPartialSimIncrementalWords, obs::metric::kCkptWrites,
        obs::metric::kSupervisorRestarts},
       "demo");
