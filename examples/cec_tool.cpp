@@ -10,8 +10,6 @@
 ///                          and check it
 ///   --json-report <path>   write the run's metric snapshot (DESIGN.md
 ///                          §2.3, schema simsweep.run_report.v3)
-///   --sweep-threads <n>    shard the SAT residue sweep over n cooperating
-///                          solvers (DESIGN.md §2.5; default 1)
 ///   --checkpoint <path>    durable checkpoint/resume (DESIGN.md §2.8):
 ///                          snapshot at phase/round boundaries, resume
 ///                          from the last good snapshot of the same run
@@ -91,7 +89,6 @@ void handle_signal(int) { g_cancel.store(true, std::memory_order_relaxed); }
 struct Options {
   bool demo = false;
   std::string report_path;
-  unsigned sweep_threads = 1;
   std::string checkpoint;
   double checkpoint_interval = 0;
   bool resume = true;
@@ -303,7 +300,6 @@ int check(const simsweep::aig::Aig& a, const simsweep::aig::Aig& b,
   cp.combined.engine.registry = &registry;
   cp.combined.engine.cancel = &g_cancel;
   cp.combined.sweeper.cancel = &g_cancel;
-  cp.combined.sweeper.num_threads = opt.sweep_threads;
   cp.checkpoint_path = opt.checkpoint;
   cp.checkpoint_interval = opt.checkpoint_interval;
   cp.resume = opt.resume;
@@ -371,7 +367,7 @@ int check(const simsweep::aig::Aig& a, const simsweep::aig::Aig& b,
 
 int usage(const char* prog) {
   std::fprintf(stderr,
-               "usage: %s [--json-report <path>] [--sweep-threads <n>] "
+               "usage: %s [--json-report <path>] "
                "[--checkpoint <path>] [--checkpoint-interval <sec>] "
                "[--no-resume] [--supervise] [--max-restarts <n>] "
                "[--arm-fault <site:nth>] [--drill-signal <TERM|INT>] "
@@ -392,13 +388,6 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json-report") == 0) {
       if (i + 1 >= argc) return usage(argv[0]);
       opt.report_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sweep-threads") == 0) {
-      // Shard count of the SAT residue sweep (DESIGN.md §2.5); 1 keeps
-      // the sequential sweeper.
-      if (i + 1 >= argc) return usage(argv[0]);
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v < 1 || v > 256) return usage(argv[0]);
-      opt.sweep_threads = static_cast<unsigned>(v);
     } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
       if (i + 1 >= argc) return usage(argv[0]);
       opt.checkpoint = argv[++i];

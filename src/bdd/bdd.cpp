@@ -59,6 +59,7 @@ BddManager::Ref BddManager::apply_and(Ref f, Ref g) {
   if (f > g) std::swap(f, g);  // canonical operand order
   Ref r;
   if (cache_lookup(kOpAnd, f, g, 0, r)) return r;
+  step();
 
   const std::uint32_t v = std::min(top_var(f), top_var(g));
   const Ref f0 = top_var(f) == v ? nodes_[f].low : f;
@@ -79,6 +80,7 @@ BddManager::Ref BddManager::apply_xor(Ref f, Ref g) {
   if (f > g) std::swap(f, g);
   Ref r;
   if (cache_lookup(kOpXor, f, g, 0, r)) return r;
+  step();
 
   const std::uint32_t v = std::min(top_var(f), top_var(g));
   const Ref f0 = top_var(f) == v ? nodes_[f].low : f;
@@ -95,6 +97,7 @@ BddManager::Ref BddManager::negate(Ref f) {
   if (f == kTrue) return kFalse;
   Ref r;
   if (cache_lookup(kOpNot, f, 0, 0, r)) return r;
+  step();
   r = make_node(nodes_[f].var, negate(nodes_[f].low), negate(nodes_[f].high));
   cache_store(kOpNot, f, 0, 0, r);
   return r;
@@ -108,6 +111,7 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
   if (g == kFalse && h == kTrue) return negate(f);
   Ref r;
   if (cache_lookup(kOpIte, f, g, h, r)) return r;
+  step();
 
   const std::uint32_t v =
       std::min(top_var(f), std::min(top_var(g), top_var(h)));

@@ -7,9 +7,11 @@
 /// unique-table + computed-table ROBDD package without complement edges
 /// or garbage collection: nodes live until the manager dies, and a node
 /// limit turns the notorious memory blow-up into a clean BddOverflow
-/// (callers report kUndecided).
+/// (callers report kUndecided). A stop hook turns a deadline or a cancel
+/// into the same BddOverflow, from inside a running operation.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -17,10 +19,11 @@
 
 namespace simsweep::bdd {
 
-/// Thrown when the node limit is exceeded; callers treat the check as
-/// undecided.
+/// Thrown when the node limit is exceeded or the stop hook fires;
+/// callers treat the check as undecided.
 struct BddOverflow : std::runtime_error {
-  BddOverflow() : std::runtime_error("BDD node limit exceeded") {}
+  explicit BddOverflow(const char* why = "BDD node limit exceeded")
+      : std::runtime_error(why) {}
 };
 
 class BddManager {
@@ -32,6 +35,12 @@ class BddManager {
 
   explicit BddManager(unsigned num_vars,
                       std::size_t node_limit = std::size_t{1} << 22);
+
+  /// Polled every kStopPollSteps recursive operation steps: once it
+  /// returns true, the running operation throws BddOverflow. One
+  /// apply_and can recurse for minutes without reaching the node limit,
+  /// so a deadline checked only between operations does not hold.
+  void set_stop(std::function<bool()> stop) { stop_ = std::move(stop); }
 
   unsigned num_vars() const { return num_vars_; }
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -64,6 +73,16 @@ class BddManager {
     std::uint32_t var;  ///< branching variable (top-most in the order)
     Ref low, high;
   };
+
+  static constexpr std::uint32_t kStopPollSteps = 4096;
+
+  /// Counts one recursive step (a computed-table miss) and polls the stop
+  /// hook every kStopPollSteps of them.
+  void step() {
+    if (!stop_ || ++steps_ < kStopPollSteps) return;
+    steps_ = 0;
+    if (stop_()) throw BddOverflow("BDD operation stopped");
+  }
 
   Ref make_node(std::uint32_t v, Ref low, Ref high);
   std::uint32_t top_var(Ref f) const {
@@ -107,6 +126,8 @@ class BddManager {
   std::unordered_map<UniqueKey, Ref, UniqueKeyHash> unique_;
   std::vector<CacheEntry> cache_;
   std::vector<Ref> var_refs_;
+  std::function<bool()> stop_;
+  std::uint32_t steps_ = 0;
 };
 
 }  // namespace simsweep::bdd

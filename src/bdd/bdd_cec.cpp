@@ -16,6 +16,13 @@ BddCecResult bdd_check_miter(const aig::Aig& miter,
   };
 
   BddManager mgr(miter.num_pis(), params.node_limit);
+  // The manager polls the budget inside its operations: one exploding
+  // apply_and can run for minutes before it reaches the node limit.
+  mgr.set_stop([&] {
+    return (params.cancel != nullptr &&
+            params.cancel->load(std::memory_order_relaxed)) ||
+           (params.time_limit > 0 && t.seconds() > params.time_limit);
+  });
   std::vector<BddManager::Ref> ref(miter.num_nodes(), BddManager::kFalse);
   try {
     for (unsigned i = 0; i < miter.num_pis(); ++i) ref[i + 1] = mgr.var(i);
@@ -26,13 +33,6 @@ BddCecResult bdd_check_miter(const aig::Aig& miter,
     for (aig::Var v = miter.num_pis() + 1; v < miter.num_nodes(); ++v) {
       ref[v] = mgr.apply_and(lit_ref(miter.fanin0(v)),
                              lit_ref(miter.fanin1(v)));
-      if ((v & 0xFF) == 0) {
-        if (params.cancel != nullptr &&
-            params.cancel->load(std::memory_order_relaxed))
-          return finish(Verdict::kUndecided, mgr.num_nodes());
-        if (params.time_limit > 0 && t.seconds() > params.time_limit)
-          return finish(Verdict::kUndecided, mgr.num_nodes());
-      }
     }
     for (aig::Lit po : miter.pos()) {
       const BddManager::Ref r = lit_ref(po);
@@ -43,6 +43,7 @@ BddCecResult bdd_check_miter(const aig::Aig& miter,
     }
     return finish(Verdict::kEquivalent, mgr.num_nodes());
   } catch (const BddOverflow&) {
+    // The node limit, the deadline or a cancel.
     return finish(Verdict::kUndecided, mgr.num_nodes());
   }
 }

@@ -22,10 +22,10 @@ namespace simsweep::bdd {
 
 struct BddCecParams {
   std::size_t node_limit = std::size_t{1} << 22;
-  /// Wall-clock budget in seconds; 0 = unbounded.
+  /// Wall-clock budget in seconds; 0 = unbounded. Polled inside the BDD
+  /// operations (BddManager::set_stop).
   double time_limit = 0;
-  /// Cooperative cancellation (portfolio use): checked periodically while
-  /// building node BDDs.
+  /// Cooperative cancellation (portfolio use): polled like time_limit.
   const std::atomic<bool>* cancel = nullptr;
 };
 

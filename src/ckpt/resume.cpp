@@ -7,7 +7,7 @@
 #include "common/timer.hpp"
 #include "fault/fault.hpp"
 #include "obs/metric_names.hpp"
-#include "sweep/parallel_sweeper.hpp"
+#include "sweep/sat_sweeper.hpp"
 
 namespace simsweep::ckpt {
 
@@ -195,7 +195,7 @@ CheckpointedResult checked_combined_check_miter(
     r.sweeper_time_limit = sp.time_limit;
     const std::uint64_t fires_before = fault::fires_total();
     Timer sat_timer;
-    sweep::SweepResult sr = sweep::sweep_miter(snap->miter, sp);
+    sweep::SweepResult sr = sweep::SatSweeper(sp).check_miter(snap->miter);
     r.sat_seconds = sat_timer.seconds();
     registry.add(obs::metric::kFaultsInjected,
                  fault::fires_total() - fires_before);

@@ -10,14 +10,13 @@
 /// only for nodes not yet encoded. Each AIG variable maps to one solver
 /// variable, created on first touch.
 ///
-/// Substitution-aware mode (the chunk scheduler's shard cores): when a
+/// Substitution-aware mode (the sweep's PO probe solvers): when a
 /// SubstitutionMap is attached, every literal — the root and each fanin
 /// met during the cone walk — is resolved through the map first, so the
 /// encoded cone is the cone of the *reduced* graph. Proved merges
 /// therefore shrink every later encoding instead of only adding equality
-/// clauses. The map may grow between encode() calls (chunk-local merges);
-/// clauses emitted earlier stay valid because substitutions are proved
-/// equivalences.
+/// clauses. The map may grow between encode() calls; clauses emitted
+/// earlier stay valid because substitutions are proved equivalences.
 
 #include <vector>
 
@@ -30,9 +29,9 @@ namespace simsweep::cnf {
 class TseitinEncoder {
  public:
   /// `subst` is optional; when non-null it must outlive the encoder and
-  /// may gain merges between encode() calls. The encoder is the map's
-  /// only concurrent reader only if the caller guarantees so (shard cores
-  /// own a private copy — see sweep::PairSolver).
+  /// may gain merges between encode() calls. Concurrent encoders may
+  /// share a map only if it no longer changes and is compressed, so that
+  /// resolve() never writes (see sweep::PairSolver).
   TseitinEncoder(const aig::Aig& aig, sat::Solver& solver,
                  const aig::SubstitutionMap* subst = nullptr)
       : aig_(aig), solver_(solver), subst_(subst),

@@ -51,13 +51,6 @@ std::size_t entry_size(std::size_t lanes, std::size_t slots,
   return entry;
 }
 
-/// Per-lane telemetry, padded so lanes never share a cache line.
-struct alignas(64) LaneTotals {
-  std::size_t tiles = 0;
-  std::size_t words = 0;
-  std::size_t rounds = 0;  ///< highest executed round + 1
-};
-
 /// Simulates one window node into its slot row (word-dimension kernel).
 inline void sim_node(const window::WinNode& node, std::uint64_t* base,
                      std::size_t out_slot, std::size_t E, std::size_t nw) {
@@ -222,7 +215,7 @@ BatchResult check_batch(const aig::Aig& aig,
   // topological order, root compare — the word dimension of Fig. 3 over a
   // private table, with no barrier anywhere.
   const auto run_tile = [&](std::size_t wi, std::size_t r,
-                            std::uint64_t* table, LaneTotals& totals) {
+                            std::uint64_t* table) {
     const Window& w = windows[wi];
     const std::size_t tt = w.tt_words();
     const std::uint64_t word0 = r * E;
@@ -255,15 +248,11 @@ BatchResult check_batch(const aig::Aig& aig,
                                             std::memory_order_relaxed)) {
       }
     }
-    ++totals.tiles;
-    totals.words += w.nodes.size() * nw;
-    totals.rounds = std::max(totals.rounds, r + 1);
   };
 
   // Lanes claim tiles in ascending (window, round) order from one ticket
   // and stop before any tile once cancellation or the deadline fires.
   std::atomic<std::size_t> next_tile{0};
-  std::vector<LaneTotals> totals(lanes);
   const auto run_lane = [&](std::size_t lane) {
     std::uint64_t* table = simt.get() + lane * lane_words;
     std::size_t wi = 0;
@@ -272,7 +261,7 @@ BatchResult check_batch(const aig::Aig& aig,
       const std::size_t t = next_tile.fetch_add(1, std::memory_order_relaxed);
       if (t >= num_tiles) return;
       while (tile_base[wi + 1] <= t) ++wi;  // tickets only grow per lane
-      run_tile(wi, t - tile_base[wi], table, totals[lane]);
+      run_tile(wi, t - tile_base[wi], table);
     }
   };
   if (lanes == 1) {
@@ -280,10 +269,31 @@ BatchResult check_batch(const aig::Aig& aig,
   } else {
     pool.run_lanes(lanes, run_lane);
   }
-  for (const LaneTotals& t : totals) {
-    result.tiles += t.tiles;
-    result.words_simulated += t.words;
-    result.rounds = std::max(result.rounds, t.rounds);
+  // Count the tiles a serial in-order sweep of the claimed tickets runs
+  // (every ticket unless the batch was cut short): tile (w, r) runs iff
+  // some item of w has its final lowest mismatch at or above r's first
+  // bit. Which tiles the lanes skipped depends on their timing; this
+  // does not.
+  const std::size_t claimed =
+      std::min(next_tile.load(std::memory_order_relaxed), num_tiles);
+  for (std::size_t wi = 0; wi < windows.size() && tile_base[wi] < claimed;
+       ++wi) {
+    const Window& w = windows[wi];
+    if (w.items.empty()) continue;  // run_tile skips every tile
+    std::uint64_t highest = 0;
+    for (std::size_t ii = 0; ii < w.items.size(); ++ii)
+      highest = std::max(highest, first_bad[item_base[wi] + ii].load(
+                                      std::memory_order_relaxed));
+    const std::size_t rounds =
+        std::min(tile_base[wi + 1], claimed) - tile_base[wi];
+    for (std::size_t r = 0; r < rounds; ++r) {
+      const std::uint64_t word0 = r * E;
+      if (highest < word0 << 6) break;
+      ++result.tiles;
+      result.words_simulated +=
+          w.nodes.size() * std::min(E, w.tt_words() - word0);
+      result.rounds = std::max(result.rounds, r + 1);
+    }
   }
   if (cancel_fired()) {
     result.cancelled = true;

@@ -112,18 +112,21 @@ struct BatchResult {
   std::vector<std::pair<std::uint32_t, ItemStatus>> outcomes;
   std::vector<Cex> cexes;
   /// Telemetry for the benches. `rounds`, `tiles` and `words_simulated`
-  /// count executed work: exact for windows whose items are all proved
-  /// (every tile runs); for windows with an early disproof they may vary
-  /// with the schedule, because a lane skips a tile only once every item
-  /// of its window already mismatched below it.
+  /// count the work of a serial in-order sweep of the batch's tiles: a
+  /// tile of a window counts iff some item of the window has its lowest
+  /// mismatch (final, or none) at or above the tile's first pattern. They
+  /// do not depend on the lane count or on lane timing, although lanes may
+  /// run a tile that an earlier tile's mismatch would have let a serial
+  /// sweep skip. A cut-short batch counts only the tiles claimed before
+  /// the stop.
   std::size_t entry_words = 0;      ///< chosen E
   std::size_t lanes = 0;            ///< lanes the tiles were spread over
   /// Words of the lanes' tables (lanes × max slots × E): what the batch
   /// charges its memory ledger, also when that charge was denied.
   std::size_t table_words = 0;
-  std::size_t rounds = 0;           ///< highest executed round + 1
-  std::size_t tiles = 0;            ///< executed (window, round) tiles
-  std::size_t words_simulated = 0;  ///< Σ node-words computed
+  std::size_t rounds = 0;           ///< highest counted round + 1
+  std::size_t tiles = 0;            ///< counted (window, round) tiles
+  std::size_t words_simulated = 0;  ///< Σ node-words of counted tiles
   /// True iff params.cancel fired mid-batch; outcomes are then invalid.
   bool cancelled = false;
   /// Set when the batch failed recoverably; outcomes are then invalid

@@ -12,9 +12,9 @@
 /// in the tree, names missing from the catalog, and catalog rows no
 /// longer referenced by any code.
 ///
-/// Dynamic families (per-pass, per-shard, per-site leaves) compose
+/// Dynamic families (per-pass, per-bucket, per-site leaves) compose
 /// runtime names from a catalogued prefix, e.g.
-///   std::string(obs::metric::kSweeperShardPrefix) + std::to_string(s)
+///   std::string(obs::metric::kFaultsSitePrefix) + site
 /// and are validated structurally by tools/check_report.cpp.
 
 namespace simsweep::obs::metric {

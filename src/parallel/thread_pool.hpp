@@ -10,10 +10,11 @@
 ///    dynamic chunking (a single CUDA kernel launch); it runs inline when
 ///    the range is too small to amortize a launch.
 ///  - run_lanes: one long-running item per index (the exhaustive
-///    simulator's tile lanes, the sweep's probe and shard loops), handed
-///    to the workers however small the count is.
+///    simulator's tile lanes), handed to the workers however small the
+///    count is.
 ///  - run_beside: run_lanes with a host task on the calling thread while
-///    the workers start on the lanes.
+///    the workers start on the lanes (the sweep's probe loops beside its
+///    pair decisions).
 ///
 /// Execution model: persistent workers poll an atomic {epoch, done}
 /// control word, claim chunks while the cursor lasts, and spin-then-park

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <string>
 #include <thread>
 #include <utility>
 
@@ -14,7 +13,7 @@
 #include "fault/fault.hpp"
 #include "obs/metric_names.hpp"
 #include "opt/resyn.hpp"
-#include "sweep/parallel_sweeper.hpp"
+#include "sweep/sat_sweeper.hpp"
 
 namespace simsweep::portfolio {
 
@@ -70,24 +69,6 @@ void publish_sweeper_stats(obs::Registry& r, bool used,
   SIMSWEEP_SWEEPER_COUNTERS(SIMSWEEP_PUBLISH)
 #undef SIMSWEEP_PUBLISH
   r.set(obs::metric::kSweeperSeconds, seconds);
-  // Parallel-sweep shard telemetry (DESIGN.md §2.5). Published only when
-  // the sweep ran sharded (or degraded from a sharded attempt), so purely
-  // sequential reports keep their exact historical shape.
-  if (s.shards == 0 && s.parallel_fallbacks == 0) return;
-  r.set(obs::metric::kSweeperShards, static_cast<double>(s.shards));
-  r.set(obs::metric::kSweeperChunks, static_cast<double>(s.chunks));
-  r.set(obs::metric::kSweeperSteals, static_cast<double>(s.steals));
-  r.set(obs::metric::kSweeperPairsSimResolved,
-        static_cast<double>(s.pairs_sim_resolved));
-  r.set(obs::metric::kSweeperParallelFallbacks,
-        static_cast<double>(s.parallel_fallbacks));
-  for (std::size_t i = 0; i < s.shard.size(); ++i) {
-    const std::string p =
-        obs::metric::kSweeperShardPrefix + std::to_string(i);
-    r.set(p + ".chunks", static_cast<double>(s.shard[i].chunks));
-    r.set(p + ".steals", static_cast<double>(s.shard[i].steals));
-    r.set(p + ".busy_seconds", s.shard[i].busy_seconds);
-  }
 }
 
 CombinedResult combined_check_miter(const aig::Aig& miter,
@@ -197,11 +178,12 @@ CombinedResult combined_check_miter(const aig::Aig& miter,
         er.bank->num_pis() == er.reduced.num_pis())
       sweeper_params.initial_bank = &*er.bank;
     // The engine published its own faults.injected delta in finish();
-    // the sweep phase runs after, so its injected fires (parallel-path
-    // degradation sites included) are accounted here as a second delta.
+    // the sweep phase runs after, so its injected fires (sat.solve and
+    // sweep.cex_replay) are accounted here as a second delta.
     const std::uint64_t sweep_fires_before = fault::fires_total();
     Timer sat_timer;
-    sweep::SweepResult sr = sweep::sweep_miter(er.reduced, sweeper_params);
+    sweep::SweepResult sr =
+        sweep::SatSweeper(sweeper_params).check_miter(er.reduced);
     result.sat_seconds = sat_timer.seconds();
     registry.add(obs::metric::kFaultsInjected,
                  fault::fires_total() - sweep_fires_before);
@@ -241,7 +223,7 @@ PortfolioResult portfolio_check_miter(const aig::Aig& miter,
     threads.emplace_back([&] {
       sweep::SweeperParams sp = params.sweeper;
       sp.cancel = cancel;
-      sweep::SweepResult r = sweep::sweep_miter(miter, sp);
+      sweep::SweepResult r = sweep::SatSweeper(sp).check_miter(miter);
       box.deliver(r.verdict, std::move(r.cex), "sat", total.seconds());
     });
   }

@@ -52,8 +52,8 @@ bool parse_job_line(const std::string& line, JobSpec* out,
         return fail("expected true/false for \"" + key + "\"");
       spec.params.interleave_rewriting = v.boolean;
     } else if (key == "deadline" || key == "priority" ||
-               key == "time_limit" || key == "sweep_threads" ||
-               key == "seed" || key == "sim_words" || key == "k_P" ||
+               key == "time_limit" || key == "seed" ||
+               key == "sim_words" || key == "k_P" ||
                key == "k_p" || key == "k_g" || key == "k_l" ||
                key == "conflict_limit" || key == "max_rounds" ||
                key == "max_rewrite_rounds") {
@@ -65,7 +65,6 @@ bool parse_job_line(const std::string& line, JobSpec* out,
       if (key == "deadline") spec.deadline_seconds = num;
       if (key == "priority") fits = store(spec.priority, num);
       if (key == "time_limit") e.time_limit = num;
-      if (key == "sweep_threads") fits = store(s.num_threads, num);
       if (key == "seed") fits = store(e.seed, num);
       if (key == "sim_words") fits = store(e.sim_words, num);
       if (key == "k_P") fits = store(e.k_P, num);

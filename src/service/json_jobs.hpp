@@ -11,7 +11,6 @@
 ///                     wait included (default 0 = none)
 ///   "priority"        higher dispatches earlier (default 0)
 ///   "time_limit"      engine.time_limit override in seconds
-///   "sweep_threads"   SweeperParams::num_threads (parallel residue sweep)
 ///   "seed"            engine.seed
 ///   "sim_words"       engine.sim_words
 ///   "k_P","k_p","k_g","k_l"  engine thresholds

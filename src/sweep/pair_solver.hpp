@@ -3,14 +3,12 @@
 /// \brief The reusable SAT core of a sweep: one solver + encoder checking
 /// candidate pairs of one miter (DESIGN.md §2.5).
 ///
-/// Both round schedulers (round_scheduler.hpp) are built on this class.
-/// The sequential scheduler keeps ONE PairSolver alive for the whole run
-/// (no substitution map — cones are encoded verbatim and proved merges
-/// are reinforced with equality clauses only). The chunk scheduler
-/// creates one PairSolver per work chunk, attached to a private
-/// SubstitutionMap snapshot, so cones collapse through everything proved
-/// so far and the solver never grows beyond a chunk's worth of clauses —
-/// the determinism unit of the shard protocol.
+/// The sweep keeps ONE PairSolver alive for the whole run to decide its
+/// pairs (no substitution map — cones are encoded verbatim and proved
+/// merges are reinforced with equality clauses only). Each PO the probe
+/// runs gets its own PairSolver for a round, attached to the round-start
+/// SubstitutionMap, so its cone collapses through everything proved so
+/// far.
 ///
 /// Budget accounting: an equivalence query is split into the two polarity
 /// cases (a&!b, !a&b). The conflict budget covers the WHOLE query: the
@@ -31,10 +29,11 @@ namespace simsweep::sweep {
 
 class PairSolver {
  public:
-  /// `subst` may be null (encode cones verbatim — the sequential
-  /// scheduler's mode). When non-null it must outlive this object; it may
-  /// gain merges between calls (chunk-local merging), and this object
-  /// must be its only user while alive (resolve() path-compresses).
+  /// `subst` may be null (encode cones verbatim — the pair solver's
+  /// mode). When non-null it must outlive this object and may gain merges
+  /// between calls; resolve() path-compresses, so it must either have no
+  /// other user while this object is alive or be compressed already, as
+  /// the probe's shared copy is.
   explicit PairSolver(const aig::Aig& miter,
                       const aig::SubstitutionMap* subst = nullptr)
       : miter_(miter), subst_(subst), enc_(miter, solver_, subst) {}

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <thread>
 
@@ -13,7 +14,7 @@
 #include "fault/fault.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/ec_manager.hpp"
-#include "sweep/round_scheduler.hpp"
+#include "sweep/pair_solver.hpp"
 
 namespace simsweep::sweep {
 
@@ -38,6 +39,84 @@ sim::PatternBank make_init_bank(unsigned num_pis,
   }
   return bank;
 }
+
+/// Outcome of one candidate pair. A pair the round never attempted
+/// (deadline, cancellation, an inconsistent solver, a refuting probe)
+/// stays kSkipped: the barrier neither counts nor journals it.
+struct PairOutcome {
+  enum class Kind : std::uint8_t { kSkipped, kEqual, kDistinct, kUnknown };
+  Kind kind = Kind::kSkipped;
+  /// kDistinct by an earlier CEX of the same round; `cex` stays empty
+  /// because that CEX already reaches the barrier with its own pair.
+  bool via_cex = false;
+  std::vector<bool> cex;  ///< disproving PI assignment, for kDistinct
+};
+
+/// In-round counterexample resimulation: up to 64 counterexamples, one
+/// bit each of a word per PI, simulated over the whole miter. The word
+/// is resimulated lazily, at the first query after a CEX arrived, and
+/// the node values are only allocated once a CEX arrives; the 65th CEX
+/// starts a fresh word. Single-threaded (one per round).
+class CexWord {
+ public:
+  explicit CexWord(const aig::Aig& miter)
+      : miter_(miter), pi_bits_(miter.num_pis(), 0) {}
+
+  void add(const std::vector<bool>& cex) {
+    if (values_.empty()) values_.assign(miter_.num_nodes(), 0);
+    if (count_ == 64) {
+      std::fill(pi_bits_.begin(), pi_bits_.end(), 0);
+      count_ = 0;
+    }
+    for (unsigned i = 0; i < miter_.num_pis(); ++i)
+      if (cex[i]) pi_bits_[i] |= std::uint64_t{1} << count_;
+    ++count_;
+    stale_ = true;
+  }
+
+  /// Whether some CEX held now tells `pair.node` from its representative.
+  bool separates(const sim::CandidatePair& pair) {
+    if (count_ == 0) return false;
+    if (stale_) resimulate();
+    const std::uint64_t held =
+        count_ == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count_) - 1;
+    const std::uint64_t phase = pair.phase ? ~std::uint64_t{0} : 0;
+    return ((values_[pair.repr] ^ phase ^ values_[pair.node]) & held) != 0;
+  }
+
+ private:
+  void resimulate() {
+    for (unsigned i = 0; i < miter_.num_pis(); ++i)
+      values_[i + 1] = pi_bits_[i];
+    const auto value = [&](aig::Lit l) {
+      return aig::lit_compl(l) ? ~values_[aig::lit_var(l)]
+                               : values_[aig::lit_var(l)];
+    };
+    for (aig::Var v = miter_.num_pis() + 1; v < miter_.num_nodes(); ++v)
+      values_[v] = value(miter_.fanin0(v)) & value(miter_.fanin1(v));
+    stale_ = false;
+  }
+
+  const aig::Aig& miter_;
+  std::vector<std::uint64_t> pi_bits_;
+  std::vector<std::uint64_t> values_;  ///< per node; node 0 stays 0
+  unsigned count_ = 0;
+  bool stale_ = false;
+};
+
+/// What a round's pair decisions share with the PO probe running beside
+/// them (DESIGN.md §2.5). `pair_ticks` is the round's pair work so far in
+/// propagation ticks; `pairs_done` is raised once it is final. `abandon`
+/// is raised when a probe slice refutes: the round's outcomes no longer
+/// matter. When no worker can run the probe, the pair loop calls
+/// `between_pairs` after every pair, so the slices the ticks open run on
+/// the deciding thread, interleaved with the pairs.
+struct RoundLink {
+  std::atomic<std::uint64_t> pair_ticks{0};
+  std::atomic<bool> pairs_done{false};
+  std::atomic<bool> abandon{false};
+  std::function<void()> between_pairs;
+};
 
 /// Probe pacing (DESIGN.md §2.5). Slice 0 gives every open PO
 /// conflict_limit / kProbeSlice0Divisor conflicts; every later slice
@@ -130,15 +209,12 @@ class ProbeRound {
   RoundLink& link() { return link_; }
 
   /// Runs `decide` (the round's pair decisions) and the probe slices the
-  /// tick gate allows. With `beside`, the slices run on the pool's workers
-  /// while the caller decides; when that cannot be (no worker, one open
-  /// PO, the pool busy), the caller runs slice 0, then the pairs with
-  /// every slice their ticks open run between two pairs, then the slices
-  /// the final ticks allow. Without `beside` the slices run on the pool
-  /// before and after `decide` (the chunk scheduler, whose shards may
-  /// share the pool). `decide` is skipped once a slice has refuted.
-  void run(parallel::ThreadPool& pool, bool beside,
-           const std::function<void()>& decide) {
+  /// tick gate allows. The slices run on the pool's workers while the
+  /// caller decides; when that cannot be (no worker, one open PO, the
+  /// pool busy), the caller runs slice 0, then the pairs with every slice
+  /// their ticks open run between two pairs, then the slices the final
+  /// ticks allow. `decide` is skipped once a slice has refuted.
+  void run(parallel::ThreadPool& pool, const std::function<void()>& decide) {
     const auto host = [&] {
       // However decide() ends, the gate then sees the final ticks, so no
       // probe loop waits past it.
@@ -152,25 +228,23 @@ class ProbeRound {
       if (!refuted_) host();
       return;
     }
-    // One loop per pool thread. Beside the pairs that is one loop more
-    // than workers: the caller takes it when it joins after its pairs, and
-    // helps with the slices left.
+    // One loop per pool thread, which is one loop more than workers: the
+    // caller takes it when it joins after its pairs, and helps with the
+    // slices left.
     const std::size_t loops =
         std::min<std::size_t>(pos_.size(), pool.concurrency());
-    if (beside && loops > 1 &&
+    if (loops > 1 &&
         pool.run_beside(
             loops, [this](std::size_t) { loop(/*wait=*/true); }, host))
       return;
-    if (beside) {
-      link_.between_pairs = [this] {
-        if (!finished_.load(std::memory_order_relaxed) &&
-            gate(completed_.load(std::memory_order_relaxed)) == Gate::kOpen)
-          loop(/*wait=*/false);
-      };
-    }
-    run_loops(pool, beside ? 1 : loops);
+    link_.between_pairs = [this] {
+      if (!finished_.load(std::memory_order_relaxed) &&
+          gate(completed_.load(std::memory_order_relaxed)) == Gate::kOpen)
+        loop(/*wait=*/false);
+    };
+    loop(/*wait=*/false);
     host();
-    run_loops(pool, beside ? 1 : loops);
+    loop(/*wait=*/false);
   }
 
   bool refuted() const { return refuted_; }
@@ -211,15 +285,6 @@ class ProbeRound {
     const std::uint64_t t = link_.pair_ticks.load(std::memory_order_relaxed);
     if (kProbeTickRatio * t >= slices_[k].ticks_before) return Gate::kOpen;
     return final_ticks ? Gate::kShut : Gate::kWait;
-  }
-
-  void run_loops(parallel::ThreadPool& pool, std::size_t loops) {
-    if (finished_.load(std::memory_order_relaxed)) return;
-    if (loops <= 1) {
-      loop(/*wait=*/false);
-      return;
-    }
-    pool.run_lanes(loops, [this](std::size_t) { loop(/*wait=*/false); });
   }
 
   /// Runs slices until the probe ends. With `wait`, a closed gate is
@@ -338,7 +403,7 @@ class ProbeRound {
 };
 
 /// The final PO pass, after the last round: the open POs are proved in
-/// order on the scheduler's core, whose work the scheduler counts.
+/// order on the sweep's pair solver, whose work the sweep counts.
 /// kNotEquivalent carries the refuting model; kEquivalent means every PO
 /// is UNSAT; anything else is kUndecided.
 Verdict prove_pos(const aig::Aig& miter, const aig::SubstitutionMap& subst,
@@ -373,84 +438,49 @@ Verdict prove_pos(const aig::Aig& miter, const aig::SubstitutionMap& subst,
   return all_proved ? Verdict::kEquivalent : Verdict::kUndecided;
 }
 
-/// The sequential scheduler (round_scheduler.hpp): one long-lived SAT
-/// core for the whole run. Cones are encoded verbatim (no substitution
-/// map attached) and each proof is reinforced with equality clauses as
-/// soon as it is found, so the solver keeps all learned facts.
-class SequentialScheduler final : public RoundScheduler {
- public:
-  SequentialScheduler(const aig::Aig& miter, std::int64_t conflict_limit,
-                      std::function<bool()> out_of_time)
-      : miter_(miter),
-        conflict_limit_(conflict_limit),
-        out_of_time_(std::move(out_of_time)),
-        core_(miter) {
-    core_.set_interrupt([this] {
-      return out_of_time_() ||
-             (abandon_ != nullptr && abandon_->load(std::memory_order_relaxed));
-    });
-  }
-
-  void replay_merge(aig::Lit repr, aig::Lit node) override {
-    core_.assert_equal(repr, node);
-  }
-
-  std::vector<PairOutcome> decide(const std::vector<sim::CandidatePair>& pairs,
-                                  RoundLink& link) override {
-    std::vector<PairOutcome> outcomes(pairs.size());
-    CexWord cexes(miter_);
-    const std::uint64_t start = core_.ticks();
-    abandon_ = &link.abandon;
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      link.pair_ticks.store(core_.ticks() - start, std::memory_order_relaxed);
-      if (link.between_pairs) link.between_pairs();
-      if (out_of_time_() || link.abandon.load(std::memory_order_relaxed))
-        break;
-      if (cexes.separates(pairs[p])) {
-        outcomes[p].kind = PairOutcome::Kind::kDistinct;
-        outcomes[p].via_cex = true;
-        continue;
-      }
-      const aig::Lit lr = aig::make_lit(pairs[p].repr, pairs[p].phase);
-      const aig::Lit ln = aig::make_lit(pairs[p].node);
-      switch (core_.check_pair(lr, ln, conflict_limit_)) {
-        case PairSolver::Outcome::kEqual:
-          outcomes[p].kind = PairOutcome::Kind::kEqual;
-          core_.assert_equal(lr, ln);
-          break;
-        case PairSolver::Outcome::kDistinct:
-          outcomes[p].kind = PairOutcome::Kind::kDistinct;
-          outcomes[p].cex = core_.model_cex();
-          cexes.add(outcomes[p].cex);
-          break;
-        case PairSolver::Outcome::kUnknown:
-          outcomes[p].kind = PairOutcome::Kind::kUnknown;
-          break;
-      }
-      if (core_.inconsistent()) break;
+/// Decides a round's `pairs` (sorted by node id) on the sweep's one
+/// long-lived solver, publishing the round's pair ticks into `link` as it
+/// goes. Cones are encoded verbatim and each proof is reinforced with
+/// equality clauses at once, so later pairs of the same round profit from
+/// it; a pair that a CEX of this round already separates is disproved
+/// without a SAT call. Returns one outcome per pair, in pair order.
+std::vector<PairOutcome> decide_pairs(
+    const aig::Aig& miter, PairSolver& core,
+    const std::vector<sim::CandidatePair>& pairs, RoundLink& link,
+    std::int64_t conflict_limit, const std::function<bool()>& out_of_time) {
+  std::vector<PairOutcome> outcomes(pairs.size());
+  CexWord cexes(miter);
+  const std::uint64_t start = core.ticks();
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    link.pair_ticks.store(core.ticks() - start, std::memory_order_relaxed);
+    if (link.between_pairs) link.between_pairs();
+    if (out_of_time() || link.abandon.load(std::memory_order_relaxed)) break;
+    if (cexes.separates(pairs[p])) {
+      outcomes[p].kind = PairOutcome::Kind::kDistinct;
+      outcomes[p].via_cex = true;
+      continue;
     }
-    link.pair_ticks.store(core_.ticks() - start, std::memory_order_relaxed);
-    abandon_ = nullptr;
-    return outcomes;
+    const aig::Lit lr = aig::make_lit(pairs[p].repr, pairs[p].phase);
+    const aig::Lit ln = aig::make_lit(pairs[p].node);
+    switch (core.check_pair(lr, ln, conflict_limit)) {
+      case PairSolver::Outcome::kEqual:
+        outcomes[p].kind = PairOutcome::Kind::kEqual;
+        core.assert_equal(lr, ln);
+        break;
+      case PairSolver::Outcome::kDistinct:
+        outcomes[p].kind = PairOutcome::Kind::kDistinct;
+        outcomes[p].cex = core.model_cex();
+        cexes.add(outcomes[p].cex);
+        break;
+      case PairSolver::Outcome::kUnknown:
+        outcomes[p].kind = PairOutcome::Kind::kUnknown;
+        break;
+    }
+    if (core.inconsistent()) break;
   }
-
-  PairSolver& po_core() override { return core_; }
-
-  void count_solver_work(SweeperStats& stats) const override {
-    stats.sat_calls = core_.sat_calls();
-    stats.conflicts = core_.conflicts();
-    stats.pair_ticks = core_.ticks();
-    stats.solve_faults = core_.solve_faults();
-  }
-
- private:
-  const aig::Aig& miter_;
-  const std::int64_t conflict_limit_;
-  const std::function<bool()> out_of_time_;
-  /// The running round's abandon flag, polled by the core's interrupt.
-  const std::atomic<bool>* abandon_ = nullptr;
-  PairSolver core_;
-};
+  link.pair_ticks.store(core.ticks() - start, std::memory_order_relaxed);
+  return outcomes;
+}
 
 }  // namespace
 
@@ -464,19 +494,32 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
       return true;
     return params_.time_limit > 0 && t.seconds() > params_.time_limit;
   };
-  std::unique_ptr<RoundScheduler> scheduler;
+  // The sweep's one SAT core, alive for the whole run: it decides every
+  // round's pairs and then the final PO pass. Its interrupt also polls the
+  // running round's abandon flag, raised when a probe slice refutes.
+  const std::atomic<bool>* abandon = nullptr;
+  PairSolver core(miter);
+  core.set_interrupt([&] {
+    return out_of_time() ||
+           (abandon != nullptr && abandon->load(std::memory_order_relaxed));
+  });
+  // sat_calls, conflicts, pair_ticks and solve_faults of the core so far.
+  const auto core_work = [&] {
+    SweeperStats w;
+    w.sat_calls = core.sat_calls();
+    w.conflicts = core.conflicts();
+    w.pair_ticks = core.ticks();
+    w.solve_faults = core.solve_faults();
+    return w;
+  };
   std::size_t probe_faults = 0;
   // The pair work before a round that a probe refuted: how far that
   // round's pairs got depends on timing, so none of it is counted.
   std::optional<SweeperStats> refuted_round;
-  // sat_calls, conflicts, pair_ticks and solve_faults so far; the probes'
-  // faulted solve entries count with the schedulers'.
+  // The core's work so far; the probes' faulted solve entries count with
+  // its own.
   auto count_work = [&](SweeperStats& s) {
-    SweeperStats pair_work;
-    if (refuted_round)
-      pair_work = *refuted_round;
-    else if (scheduler)
-      scheduler->count_solver_work(pair_work);
+    const SweeperStats pair_work = refuted_round ? *refuted_round : core_work();
     s.sat_calls = pair_work.sat_calls;
     s.conflicts = pair_work.conflicts;
     s.pair_ticks = pair_work.pair_ticks;
@@ -511,12 +554,6 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
   if (aig::miter_proved(miter)) return finish(Verdict::kEquivalent);
 
   aig::SubstitutionMap subst(miter.num_nodes());
-  const bool chunked = params_.num_threads > 1;
-  if (chunked)
-    scheduler = make_chunk_scheduler(miter, params_, subst, stats, out_of_time);
-  else
-    scheduler = std::make_unique<SequentialScheduler>(
-        miter, params_.conflict_limit, out_of_time);
 
   // EC initialization by partial random simulation, extended with any
   // transferred patterns (§V EC-transfer extension). A resume restores
@@ -538,7 +575,7 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
   unsigned start_round = 0;
   if (resuming) {
     for (const auto& [node, lit] : resume->merges) {
-      scheduler->replay_merge(lit, aig::make_lit(node));
+      core.assert_equal(lit, aig::make_lit(node));
       subst.merge(node, lit);
       ec.mark_proved(node);
     }
@@ -561,21 +598,23 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
     std::vector<sim::CandidatePair> pairs = ec.candidate_pairs();
     if (pairs.empty()) break;
     // Topological (ascending node id) order: proofs of small cones come
-    // first and help the bigger ones. Chunk boundaries depend only on
-    // this order and pairs_per_chunk, never on the thread count.
+    // first and help the bigger ones.
     std::sort(pairs.begin(), pairs.end(),
               [](const sim::CandidatePair& x, const sim::CandidatePair& y) {
                 return x.node < y.node;
               });
 
     // The round's PO probe runs beside its pair decisions (DESIGN.md
-    // §2.5); the chunk scheduler runs it between them.
-    SweeperStats round_start;
-    scheduler->count_solver_work(round_start);
+    // §2.5).
+    const SweeperStats round_start = core_work();
     ProbeRound probe(miter, subst, round, limit, out_of_time);
     std::vector<PairOutcome> outcomes;
-    probe.run(probe_pool, /*beside=*/!chunked,
-              [&] { outcomes = scheduler->decide(pairs, probe.link()); });
+    probe.run(probe_pool, [&] {
+      abandon = &probe.link().abandon;
+      outcomes =
+          decide_pairs(miter, core, pairs, probe.link(), limit, out_of_time);
+      abandon = nullptr;
+    });
     stats.probe_calls += probe.counted().calls;
     stats.probe_conflicts += probe.counted().conflicts;
     stats.probe_ticks += probe.counted().ticks;
@@ -588,25 +627,18 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
     }
 
     // Round barrier: apply every attempted outcome in pair order, so EC
-    // state, substitution map and counters evolve the same way for any
-    // thread count and interleaving.
+    // state, substitution map and counters evolve the same way however
+    // the probe interleaved with the pairs.
     std::size_t proved = 0;
     sim::CexCollector collector(miter.num_pis());
     std::vector<std::pair<unsigned, bool>> assignment;
     for (std::size_t p = 0; p < pairs.size(); ++p) {
       const sim::CandidatePair& pair = pairs[p];
       const PairOutcome& outcome = outcomes[p];
-      if (outcome.via_sim) ++stats.pairs_sim_resolved;
       switch (outcome.kind) {
         case PairOutcome::Kind::kSkipped:
           break;
         case PairOutcome::Kind::kEqual: {
-          // Injection site `sweep.board_merge` (DESIGN.md §2.4): applying
-          // a shard-proved merge is the barrier's structural step; a
-          // failure abandons the sharded attempt (sweep_miter() falls
-          // back to the sequential scheduler, which never reaches it).
-          if (chunked && SIMSWEEP_FAULT_POINT(fault::sites::kSweepBoardMerge))
-            throw fault::FaultError(fault::sites::kSweepBoardMerge);
           const aig::Lit lr = aig::make_lit(pair.repr, pair.phase);
           subst.merge(pair.node, lr);
           ec.mark_proved(pair.node);
@@ -667,8 +699,8 @@ SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
 
   // Final PO pass on the substituted miter.
   if (out_of_time()) return finish(Verdict::kUndecided);
-  return finish(prove_pos(miter, subst, limit, scheduler->po_core(),
-                          out_of_time, result.cex));
+  return finish(
+      prove_pos(miter, subst, limit, core, out_of_time, result.cex));
 }
 
 }  // namespace simsweep::sweep

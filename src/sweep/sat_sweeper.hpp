@@ -22,12 +22,10 @@
 /// Every counterexample is replayed on the miter before kNotEquivalent is
 /// returned.
 ///
-/// There is one round loop (SatSweeper::check_miter). Only the step that
-/// decides a round's sorted pairs depends on SweeperParams::num_threads:
-/// a long-lived sequential solver or hermetic chunks on shard loops
-/// (round_scheduler.hpp). The PO probe runs beside the first's pair
-/// decisions, and before and after the second's. Outcomes are applied at
-/// the round barrier in pair order either way.
+/// There is one round loop and one pair solver (SatSweeper::check_miter):
+/// a long-lived solver decides each round's sorted pairs while the PO
+/// probe runs beside it, and the outcomes are applied at the round
+/// barrier in pair order.
 
 #include <atomic>
 #include <cstdint>
@@ -94,36 +92,17 @@ struct SweeperParams {
   /// Wall-clock budget in seconds; 0 = unbounded. On expiry the checker
   /// returns kUndecided (used by the portfolio).
   double time_limit = 0;
-  /// Threads deciding each round's candidate pairs (DESIGN.md §2.5;
-  /// round_scheduler.hpp). 1 selects the sequential scheduler: one
-  /// long-lived solver, pure SAT. Values > 1 select the chunk scheduler:
-  /// hermetic chunks of pairs_per_chunk pairs on that many cooperating
-  /// shard loops. The round loop around either is the same.
+  /// Kept only for the benchmark sources under perfbench/, which still
+  /// set it; the sweep does not read it. It goes when they stop.
   unsigned num_threads = 1;
-  /// Candidate pairs per work chunk of the chunk scheduler. A chunk is
-  /// the determinism unit: it is checked hermetically against the
-  /// round-start state by a fresh solver, so its outcome is independent of
-  /// which shard runs it and of the thread count.
-  std::size_t pairs_per_chunk = 32;
-  /// Simulation-first pair resolution (chunk scheduler only): a
-  /// candidate pair whose combined structural support has at most this
-  /// many PIs is resolved by exhaustively simulating both cones over
-  /// that support window — a complete proof with zero SAT conflicts,
-  /// and a pure function of the miter, so the determinism contract is
-  /// unaffected. 0 disables. The sequential scheduler ignores this: it
-  /// stays the "ABC &cec" baseline — SAT on every pair, plus the PO
-  /// probes and in-round CEX resimulation that ABC's sweeper also does.
-  unsigned sim_support_limit = 12;
-  /// Shared executor (DESIGN.md §2.9) for the chunk scheduler and
-  /// the PO probes. Null (the default) gives each sharded sweep a private
-  /// pool sized num_threads-1 and runs the probes on the process-wide
-  /// pool. A batch service passes ONE pool here so concurrent jobs
-  /// contend for a single worker set (the pool serializes whole
-  /// jobs) instead of every job spawning its own threads and
-  /// oversubscribing the host. A sequential sweep holds the pool for each
-  /// round while the probe runs beside the pair decisions (DESIGN.md
-  /// §2.5); one that finds the pool busy probes on its calling thread.
-  /// Caller keeps the pool alive for the duration of the check.
+  /// Shared executor (DESIGN.md §2.9) for the PO probes. Null (the
+  /// default) runs them on the process-wide pool. A batch service passes
+  /// ONE pool here so concurrent jobs contend for a single worker set
+  /// (the pool serializes whole jobs) instead of oversubscribing the host.
+  /// A sweep holds the pool for each round while the probe runs beside
+  /// the pair decisions (DESIGN.md §2.5); one that finds the pool busy
+  /// probes on its calling thread. Caller keeps the pool alive for the
+  /// duration of the check.
   parallel::ThreadPool* pool = nullptr;
   /// Cooperative cancellation (portfolio use): checked between SAT calls.
   /// Annotation audit: the only cross-thread cell of a sweep — written by
@@ -147,15 +126,6 @@ struct SweeperParams {
   /// initial_bank for EC init when it carries a bank). Caller keeps the
   /// state alive for the duration of the check.
   const SweepResumeState* resume = nullptr;
-};
-
-/// Per-shard scheduling telemetry of one sharded sweep. Chunk/steal
-/// counts and busy time depend on worker interleaving, so they are
-/// telemetry only — excluded from the determinism contract below.
-struct ShardStats {
-  std::size_t chunks = 0;  ///< work chunks this shard claimed
-  std::size_t steals = 0;  ///< claims outside the shard's home partition
-  double busy_seconds = 0; ///< wall time inside the shard loop
 };
 
 /// Always-published SweeperStats rows: X(type, field, default, catalog
@@ -198,29 +168,11 @@ struct SweeperStats {
 #undef SIMSWEEP_SWEEPER_FIELD
   double seconds = 0;
 
-  // --- Chunk-scheduler extras (zero / empty for the sequential one).
-  //
-  // Determinism contract (DESIGN.md §2.5): with the chunk scheduler,
-  // every count above plus chunks and pairs_sim_resolved is a pure
-  // function of the miter and the parameters other than num_threads and
-  // pool — identical across thread counts and across runs, unless the
-  // deadline or cancel flag cut the sweep short. On both schedulers the
-  // verdict, the counterexample and every count above (the probe and
-  // tick rows included) do not depend on the pool size or on how the
-  // probe interleaves with the pair decisions. shards echoes
-  // min(num_threads, chunks of the widest round); steals and the
-  // per-shard breakdown are scheduling telemetry and may vary.
-  // seconds/busy_seconds are wall time.
-  std::size_t shards = 0;  ///< shard loops of the widest round
-  std::size_t chunks = 0;  ///< work chunks across all rounds
-  std::size_t steals = 0;  ///< cross-partition chunk claims
-  /// Pairs settled by exhaustive cone simulation over their combined
-  /// support window (sim_support_limit) instead of SAT.
-  std::size_t pairs_sim_resolved = 0;
-  /// Sharded attempts that degraded to the sequential scheduler (fault
-  /// ladder; set by the sweep_miter() dispatcher).
-  std::size_t parallel_fallbacks = 0;
-  std::vector<ShardStats> shard;
+  // Determinism contract (DESIGN.md §2.5): the verdict, the
+  // counterexample and every count above (the probe and tick rows
+  // included) do not depend on the pool size or on how the probe
+  // interleaves with the pair decisions, unless the deadline or cancel
+  // flag cut the sweep short. `seconds` is wall time.
 };
 
 struct SweepResult {

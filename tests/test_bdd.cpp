@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "aig/aig_analysis.hpp"
+#include "common/timer.hpp"
+#include "gen/suite.hpp"
 #include "test_util.hpp"
 #include "tt/truth_table.hpp"
 
@@ -122,6 +126,29 @@ TEST(BddCec, NodeLimitYieldsUndecided) {
   p.node_limit = 16;
   const BddCecResult r = bdd_check(a, b, p);
   EXPECT_EQ(r.verdict, Verdict::kUndecided);
+}
+
+TEST(BddCec, DeadlineAndCancelHoldInsideOneApplyAnd) {
+  // One apply_and on voter's miter recurses for minutes below the node
+  // limit. The budget used to be polled only between AND nodes, so a
+  // 0.2 s deadline (or a portfolio cancel) waited for that whole call.
+  const gen::BenchCase c = gen::make_case("voter", {.doublings = 1});
+  const aig::Aig m = aig::make_miter(c.original, c.optimized);
+  {
+    BddCecParams p;
+    p.time_limit = 0.2;
+    const Timer t;
+    EXPECT_EQ(bdd_check_miter(m, p).verdict, Verdict::kUndecided);
+    EXPECT_LT(t.seconds(), 5.0);
+  }
+  {
+    const std::atomic<bool> cancel{true};
+    BddCecParams p;
+    p.cancel = &cancel;
+    const Timer t;
+    EXPECT_EQ(bdd_check_miter(m, p).verdict, Verdict::kUndecided);
+    EXPECT_LT(t.seconds(), 5.0);
+  }
 }
 
 class BddOracle : public ::testing::TestWithParam<std::uint64_t> {};

@@ -27,7 +27,7 @@
 #include "obs/registry.hpp"
 #include "opt/resyn.hpp"
 #include "sim/partial_sim.hpp"
-#include "sweep/parallel_sweeper.hpp"
+#include "sweep/sat_sweeper.hpp"
 #include "test_util.hpp"
 
 namespace simsweep::ckpt {
@@ -501,47 +501,41 @@ TEST(CkptResume, SweeperRoundJournalReplaysToIdenticalVerdict) {
   // a round barrier via the checkpoint hook, replay it through
   // SweeperParams::resume, and require the identical verdict and merged
   // pair totals (the §2.8 determinism argument at its smallest scope).
-  // Both schedulers share the one replay path: sequential (1 thread) and
-  // chunked (2 threads).
   const aig::Aig a = testutil::random_aig(12, 260, 6, 300);
   const aig::Aig b = opt::resyn_light(a);
   const aig::Aig miter = aig::make_miter(a, b);
   if (aig::miter_proved(miter)) GTEST_SKIP() << "strash solved it";
 
-  for (const unsigned threads : {1u, 2u}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    sweep::SweeperParams sp;
-    sp.sim_words = 1;  // sparse EC init => several refinement rounds
-    sp.num_threads = threads;
+  sweep::SweeperParams sp;
+  sp.sim_words = 1;  // sparse EC init => several refinement rounds
 
-    std::optional<sweep::SweepResumeState> captured;
-    sweep::SweeperParams record = sp;
-    record.checkpoint_hook = [&](const sweep::SweepCheckpointView& v) {
-      sweep::SweepResumeState s;
-      s.merges = *v.merges;
-      s.removed = *v.removed;
-      if (v.bank != nullptr) s.bank = *v.bank;
-      s.next_round = v.next_round;
-      s.pairs_proved = v.stats->pairs_proved;
-      s.pairs_disproved = v.stats->pairs_disproved;
-      s.pairs_undecided = v.stats->pairs_undecided;
-      captured = std::move(s);  // keep the LAST boundary, like a real crash
-    };
-    const sweep::SweepResult fresh = sweep::sweep_miter(miter, record);
-    // Both schedulers refine this miter over several rounds, so a round
-    // barrier is always offered.
-    ASSERT_TRUE(captured.has_value());
-    EXPECT_GT(captured->next_round, 0u);
+  std::optional<sweep::SweepResumeState> captured;
+  sweep::SweeperParams record = sp;
+  record.checkpoint_hook = [&](const sweep::SweepCheckpointView& v) {
+    sweep::SweepResumeState s;
+    s.merges = *v.merges;
+    s.removed = *v.removed;
+    if (v.bank != nullptr) s.bank = *v.bank;
+    s.next_round = v.next_round;
+    s.pairs_proved = v.stats->pairs_proved;
+    s.pairs_disproved = v.stats->pairs_disproved;
+    s.pairs_undecided = v.stats->pairs_undecided;
+    captured = std::move(s);  // keep the LAST boundary, like a real crash
+  };
+  const sweep::SweepResult fresh = sweep::SatSweeper(record).check_miter(miter);
+  // The sweep refines this miter over several rounds, so a round barrier
+  // is always offered.
+  ASSERT_TRUE(captured.has_value());
+  EXPECT_GT(captured->next_round, 0u);
 
-    sweep::SweeperParams resumed_params = sp;
-    resumed_params.resume = &*captured;
-    const sweep::SweepResult resumed =
-        sweep::sweep_miter(miter, resumed_params);
-    EXPECT_EQ(resumed.verdict, fresh.verdict);
-    EXPECT_EQ(resumed.stats.pairs_proved, fresh.stats.pairs_proved);
-    EXPECT_EQ(resumed.stats.pairs_disproved, fresh.stats.pairs_disproved);
-    EXPECT_EQ(resumed.stats.pairs_undecided, fresh.stats.pairs_undecided);
-  }
+  sweep::SweeperParams resumed_params = sp;
+  resumed_params.resume = &*captured;
+  const sweep::SweepResult resumed =
+      sweep::SatSweeper(resumed_params).check_miter(miter);
+  EXPECT_EQ(resumed.verdict, fresh.verdict);
+  EXPECT_EQ(resumed.stats.pairs_proved, fresh.stats.pairs_proved);
+  EXPECT_EQ(resumed.stats.pairs_disproved, fresh.stats.pairs_disproved);
+  EXPECT_EQ(resumed.stats.pairs_undecided, fresh.stats.pairs_undecided);
 }
 
 TEST(CkptResume, SweepStageResumeRepublishesDegradeState) {

@@ -106,10 +106,15 @@ TEST_P(SatSweeperOracle, AgreesWithBruteForce) {
   ASSERT_NE(r.verdict, Verdict::kUndecided);
   EXPECT_EQ(r.verdict == Verdict::kEquivalent,
             aig::brute_force_equivalent(a, b));
+  if (r.verdict == Verdict::kNotEquivalent) {
+    ASSERT_TRUE(r.cex.has_value());
+    EXPECT_NE(a.evaluate(*r.cex), b.evaluate(*r.cex));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatSweeperOracle,
-                         ::testing::Values(101, 102, 103, 104, 105, 106));
+                         ::testing::Values(101, 102, 103, 104, 105, 106, 201,
+                                           202, 203, 204, 205, 206));
 
 TEST(SatSweeper, SweepingMergesInternalEquivalences) {
   // Build a miter with many internal equivalences: x vs shifted copy of

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <thread>
+#include <tuple>
 
 #include "aig/aig_analysis.hpp"
 #include "parallel/thread_pool.hpp"
@@ -367,6 +369,62 @@ TEST(Exhaustive, CounterexampleIsLowestMismatchingPattern) {
     }
   }
   EXPECT_LT(min_tiles, max_tiles);
+  if (parallel::ThreadPool::global().concurrency() > 1) {
+    EXPECT_TRUE(many_lanes);
+  }
+}
+
+TEST(Exhaustive, CountersDoNotDependOnLanesOrTiming) {
+  // Every item of these windows is f against f ^ (a cube of two high
+  // PIs), so each window first mismatches mid-way, at the cube's first
+  // pattern, and a serial sweep skips the window's later rounds. Racing
+  // lanes run some of those rounds before the mismatch is recorded; the
+  // counters count the serial sweep's tiles, so one lane and four read
+  // the same, run after run.
+  Aig a = deep_aig(12, 3000, 8, 912);
+  const unsigned n = a.num_pis();
+  std::vector<window::Window> windows;
+  for (unsigned w = 0; w < 6; ++w) {
+    std::vector<window::CheckItem> items;
+    for (unsigned i = 0; i < 4; ++i) {
+      const unsigned k = 4 * w + i;
+      const Lit f = a.po(k % a.num_pos());
+      const Lit cube =
+          a.add_and(a.pi_lit(n - 1 - k % 3), a.pi_lit(n - 4 - k % 2));
+      items.push_back(window::CheckItem{f, a.add_xor(f, cube), k});
+    }
+    auto win = window::build_window(a, all_pis(a), std::move(items));
+    ASSERT_TRUE(win);
+    windows.push_back(std::move(*win));
+  }
+  std::size_t slots = 1;
+  for (const window::Window& w : windows)
+    slots = std::max(slots, w.num_slots());
+  Params params;
+  params.cache_words = 0;
+  std::optional<std::tuple<std::size_t, std::size_t, std::size_t>> first;
+  bool many_lanes = false;
+  for (const std::size_t lanes : {1u, 4u}) {
+    // One-word tiles (E = 1) on `lanes` lanes: the memory budget holds
+    // exactly that many tables.
+    params.memory_words = lanes * slots;
+    for (int rep = 0; rep < 5; ++rep) {
+      const BatchResult r = check_batch(a, windows, params);
+      ASSERT_EQ(r.failure, BatchFailure::kNone);
+      ASSERT_EQ(r.entry_words, 1u);
+      for (const auto& outcome : r.outcomes)
+        ASSERT_EQ(outcome.second, ItemStatus::kDisproved);
+      many_lanes |= r.lanes > 1;
+      const std::tuple counters{r.rounds, r.tiles, r.words_simulated};
+      if (!first) {
+        first = counters;
+        continue;
+      }
+      EXPECT_EQ(counters, *first) << "lanes " << r.lanes << " rep " << rep;
+    }
+  }
+  // A serial sweep stops every window before its last round.
+  EXPECT_LT(std::get<1>(*first), windows.size() * (std::size_t{1} << n) / 64);
   if (parallel::ThreadPool::global().concurrency() > 1) {
     EXPECT_TRUE(many_lanes);
   }

@@ -36,7 +36,6 @@
 #include "parallel/thread_pool.hpp"
 #include "portfolio/portfolio.hpp"
 #include "service/cec_service.hpp"
-#include "sweep/parallel_sweeper.hpp"
 #include "sweep/sat_sweeper.hpp"
 #include "test_util.hpp"
 #include "obs/metric_names.hpp"
@@ -528,26 +527,21 @@ TEST(FaultRecovery, CorruptedCounterexampleIsNeverReturned) {
   EXPECT_EQ(*clean.cex, std::vector<bool>(8, true));
   EXPECT_EQ(clean.stats.cex_replay_failures, 0u);
 
-  // Mutated miters, every counterexample corrupted, both schedulers: a
-  // flip may or may not break the counterexample, but whatever the sweep
-  // returns replays.
+  // Mutated miters, every counterexample corrupted: a flip may or may
+  // not break the counterexample, but whatever the sweep returns replays.
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
     const aig::Aig a = testutil::random_aig(8, 120, 5, seed);
     const aig::Aig mm = aig::make_miter(a, testutil::mutate(a, seed));
-    for (const unsigned threads : {1u, 2u}) {
-      fault::FaultPlan plan;
-      plan.on_hit(fault::sites::kSweepCexReplay, 1, /*fires=*/0);
-      fault::ScopedFaultPlan scoped(plan);
-      sweep::SweeperParams p;
-      p.num_threads = threads;
-      const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(mm);
-      if (r.verdict == Verdict::kNotEquivalent) {
-        ASSERT_TRUE(r.cex.has_value());
-        EXPECT_GE(aig::find_failing_po(mm, *r.cex), 0) << "seed " << seed;
-      } else if (scoped.fires(fault::sites::kSweepCexReplay) > 0) {
-        EXPECT_EQ(r.verdict, Verdict::kUndecided);
-        EXPECT_EQ(r.stats.cex_replay_failures, 1u);
-      }
+    fault::FaultPlan plan;
+    plan.on_hit(fault::sites::kSweepCexReplay, 1, /*fires=*/0);
+    fault::ScopedFaultPlan scoped(plan);
+    const sweep::SweepResult r = sweep::SatSweeper().check_miter(mm);
+    if (r.verdict == Verdict::kNotEquivalent) {
+      ASSERT_TRUE(r.cex.has_value());
+      EXPECT_GE(aig::find_failing_po(mm, *r.cex), 0) << "seed " << seed;
+    } else if (scoped.fires(fault::sites::kSweepCexReplay) > 0) {
+      EXPECT_EQ(r.verdict, Verdict::kUndecided);
+      EXPECT_EQ(r.stats.cex_replay_failures, 1u);
     }
   }
 }
@@ -654,78 +648,24 @@ TEST(FaultRecovery, PoolSpawnFailuresDegradeToFewerWorkers) {
   }
 }
 
-TEST(FaultRecovery, ShardAllocFaultDegradesToSequentialSweep) {
-  // `sweep.shard_alloc` throws bad_alloc before the parallel sweep
-  // commits any thread; the dispatcher must degrade to the sequential
-  // sweeper, record the fallback, and still prove the miter.
-  const aig::Aig a = testutil::random_aig(8, 120, 5, 501);
-  const aig::Aig miter = aig::make_miter(a, opt::resyn_light(a));
-  fault::FaultPlan plan;
-  plan.on_hit(fault::sites::kSweepShardAlloc, 1, /*fires=*/1);
-  fault::ScopedFaultPlan scoped(plan);
-  sweep::SweeperParams sp;
-  sp.num_threads = 4;
-  const sweep::SweepResult r = sweep::sweep_miter(miter, sp);
-  EXPECT_EQ(r.verdict, Verdict::kEquivalent);
-  EXPECT_EQ(scoped.fires(fault::sites::kSweepShardAlloc), 1u);
-  EXPECT_EQ(r.stats.parallel_fallbacks, 1u);
-  EXPECT_EQ(r.stats.shards, 0u);  // the fallback ran sequentially
-}
-
-TEST(FaultRecovery, BoardMergeFaultDegradesToSequentialSweep) {
-  // `sweep.board_merge` fires at the round barrier, i.e. after shards
-  // already ran: the dispatcher abandons the partial parallel attempt
-  // and re-checks sequentially — sound, never partial.
-  const aig::Aig a = testutil::random_aig(8, 120, 5, 501);
-  const aig::Aig miter = aig::make_miter(a, opt::resyn_light(a));
-  fault::FaultPlan plan;
-  plan.on_hit(fault::sites::kSweepBoardMerge, 1, /*fires=*/1);
-  fault::ScopedFaultPlan scoped(plan);
-  sweep::SweeperParams sp;
-  sp.num_threads = 2;
-  const sweep::SweepResult r = sweep::sweep_miter(miter, sp);
-  EXPECT_EQ(r.verdict, Verdict::kEquivalent);
-  EXPECT_GT(scoped.fires(fault::sites::kSweepBoardMerge), 0u);
-  EXPECT_EQ(r.stats.parallel_fallbacks, 1u);
-}
-
-TEST(FaultRecovery, SequentialSweepNeverReachesShardSites) {
-  // Both schedulers share one round loop, but the shard sites belong to
-  // the chunk scheduler alone: a sequential sweep must neither allocate
-  // shard state nor pass the barrier's board_merge site.
-  const aig::Aig a = testutil::random_aig(8, 120, 5, 501);
-  const aig::Aig miter = aig::make_miter(a, opt::resyn_light(a));
-  fault::FaultPlan plan;
-  plan.on_hit(fault::sites::kSweepShardAlloc, 1, /*fires=*/1);
-  plan.on_hit(fault::sites::kSweepBoardMerge, 1, /*fires=*/1);
-  fault::ScopedFaultPlan scoped(plan);
-  const sweep::SweepResult r = sweep::sweep_miter(miter, {});
-  EXPECT_EQ(r.verdict, Verdict::kEquivalent);
-  EXPECT_GT(r.stats.pairs_proved, 0u);
-  EXPECT_EQ(scoped.hits(fault::sites::kSweepShardAlloc), 0u);
-  EXPECT_EQ(scoped.hits(fault::sites::kSweepBoardMerge), 0u);
-  EXPECT_EQ(r.stats.parallel_fallbacks, 0u);
-}
-
 TEST(FaultRecovery, CombinedFlowCountsSweepFaultsInjected) {
   // The combined flow accounts sweep-phase fires as its own
   // faults.injected delta (the engine publishes only its delta), and the
-  // report records the degradation under sat_sweeper.parallel_fallbacks.
+  // report records the faulted solve under sat_sweeper.solve_faults.
   const aig::Aig a = gen::array_multiplier(4);
   const aig::Aig b = gen::wallace_multiplier(4);
   fault::FaultPlan plan;
-  plan.on_hit(fault::sites::kSweepShardAlloc, 1, /*fires=*/1);
+  plan.on_hit(fault::sites::kSatSolve, 1, /*fires=*/1);
   fault::ScopedFaultPlan scoped(plan);
   portfolio::CombinedParams p;
   p.engine = small_engine();
   // Expire every engine phase so the whole miter reaches the sweep.
   p.engine.phase_time_limit = 1e-9;
-  p.sweeper.num_threads = 2;
   const portfolio::CombinedResult r = portfolio::combined_check(a, b, p);
   EXPECT_NE(r.verdict, Verdict::kNotEquivalent);
-  EXPECT_GT(scoped.fires(fault::sites::kSweepShardAlloc), 0u);
+  EXPECT_EQ(scoped.fires(fault::sites::kSatSolve), 1u);
   EXPECT_GE(r.report.count(obs::metric::kFaultsInjected), 1u);
-  EXPECT_DOUBLE_EQ(r.report.value(obs::metric::kSweeperParallelFallbacks), 1.0);
+  EXPECT_DOUBLE_EQ(r.report.value(obs::metric::kSweeperSolveFaults), 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -758,14 +698,6 @@ TEST(FaultSites, EveryCataloguedSiteSurvivesInjection) {
       const sweep::SweepResult r =
           sweep::SatSweeper().check_miter(sat_miter);
       EXPECT_NE(r.verdict, Verdict::kNotEquivalent);
-    } else if (name == fault::sites::kSweepShardAlloc || name == fault::sites::kSweepBoardMerge) {
-      // Parallel-sweep host faults: the dispatcher must degrade to the
-      // sequential sweeper and still produce a sound verdict.
-      sweep::SweeperParams sp;
-      sp.num_threads = 2;
-      const sweep::SweepResult r = sweep::sweep_miter(sat_miter, sp);
-      EXPECT_NE(r.verdict, Verdict::kNotEquivalent);
-      EXPECT_EQ(r.stats.parallel_fallbacks, 1u);
     } else if (name == fault::sites::kSweepCexReplay) {
       // A corrupted counterexample is caught by its replay: the sweep
       // comes back undecided instead of returning it.
@@ -843,8 +775,7 @@ TEST(FaultSites, EveryCataloguedSiteSurvivesInjection) {
 
 TEST(FaultSites, ProbabilisticMultiSiteSoakStaysSound) {
   // Every catalogued site armed at once with a low per-hit probability
-  // and a fixed seed (replayable), the sweep phase running parallel so
-  // the sweep.* sites are on-path. The combined checker must come
+  // and a fixed seed (replayable). The combined checker must come
   // through with a sound verdict for an equivalent pair: anything except
   // kNotEquivalent, and no crash.
   const aig::Aig a = gen::array_multiplier(4);
@@ -856,7 +787,6 @@ TEST(FaultSites, ProbabilisticMultiSiteSoakStaysSound) {
   fault::ScopedFaultPlan scoped(plan);
   portfolio::CombinedParams p;
   p.engine = small_engine();
-  p.sweeper.num_threads = 2;
   const portfolio::CombinedResult r = portfolio::combined_check(a, b, p);
   EXPECT_NE(r.verdict, Verdict::kNotEquivalent);
   EXPECT_GT(scoped.hits(fault::sites::kExhaustiveSimtAlloc), 0u);

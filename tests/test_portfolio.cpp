@@ -232,7 +232,6 @@ TEST(Combined, ArmedCancelAndBudgetAddNoPerCheckFloor) {
   unarmed.engine.k_P = 24;
   unarmed.engine.k_p = 14;
   unarmed.engine.k_g = 14;
-  unarmed.sweeper.num_threads = 1;
   std::atomic<bool> cancel{false};
   CombinedParams armed = unarmed;
   armed.engine.cancel = &cancel;

@@ -319,7 +319,7 @@ TEST(CecServiceJobSpec, ParsesEveryKeyAndKeepsDefaults) {
   std::string error;
   ASSERT_TRUE(parse_job_line(
       R"({"id": "j1", "a": "x.aig", "b": "y.aig", "deadline": 2.5, )"
-      R"("priority": 3, "time_limit": 1.5, "sweep_threads": 4, )"
+      R"("priority": 3, "time_limit": 1.5, )"
       R"("seed": 7, "sim_words": 8, "k_p": 12, "k_g": 11, "k_l": 5, )"
       R"("conflict_limit": 5000, "max_rounds": 9, )"
       R"("interleave_rewriting": true, "max_rewrite_rounds": 2})",
@@ -331,7 +331,6 @@ TEST(CecServiceJobSpec, ParsesEveryKeyAndKeepsDefaults) {
   EXPECT_DOUBLE_EQ(spec.deadline_seconds, 2.5);
   EXPECT_EQ(spec.priority, 3);
   EXPECT_DOUBLE_EQ(spec.params.engine.time_limit, 1.5);
-  EXPECT_EQ(spec.params.sweeper.num_threads, 4u);
   EXPECT_EQ(spec.params.engine.seed, 7u);
   EXPECT_EQ(spec.params.engine.sim_words, 8u);
   EXPECT_EQ(spec.params.engine.k_p, 12u);
@@ -351,6 +350,12 @@ TEST(CecServiceJobSpec, RejectsUnknownKeysAndMissingPaths) {
       R"({"a": "x.aig", "b": "y.aig", "sweeep_threads": 2})", &spec,
       &error));
   EXPECT_NE(error.find("sweeep_threads"), std::string::npos) << error;
+  // The retired sharded-sweep key is rejected like any other unknown key.
+  error.clear();
+  EXPECT_FALSE(parse_job_line(
+      R"({"a": "x.aig", "b": "y.aig", "sweep_threads": 2})", &spec, &error));
+  EXPECT_NE(error.find("unknown key \"sweep_threads\""), std::string::npos)
+      << error;
   error.clear();
   EXPECT_FALSE(parse_job_line(R"({"a": "x.aig"})", &spec, &error));
   EXPECT_NE(error.find("required"), std::string::npos) << error;

@@ -8,9 +8,9 @@
 /// five paper-module sections carry nonzero counters and that the
 /// robustness (`faults`, `degrade`, DESIGN.md §2.4) and
 /// checkpoint-durability (`ckpt`, `supervisor`, §2.8) sections are
-/// present with their expected leaves. A second (sharded-sweep) and third
-/// (batch-service, DESIGN.md §2.9) flow validate the sat_sweeper shard
-/// gauges and the per-job/aggregate service reports. Leaves are checked
+/// present with their expected leaves. A second (residue-sweep) and third
+/// (batch-service, DESIGN.md §2.9) flow validate the sat_sweeper
+/// refute-early gauges and the per-job/aggregate service reports. Leaves are checked
 /// at their full dotted path through the shared JSON reader, so a
 /// same-named leaf in another section does not satisfy a check. Exit code
 /// 0 on success, 1 on any failure.
@@ -181,56 +181,46 @@ int main(int argc, char** argv) {
   std::printf("check_report: %s is a valid %s report\n", path.c_str(),
               obs::kSchemaId);
 
-  // Second flow: a sharded residue sweep (sweeper.num_threads = 2) on a
-  // small multiplier pair. The report must still validate as v3 and
-  // additionally carry the sat_sweeper.* shard gauges (DESIGN.md §2.5)
-  // — the demo report above, whose sweep is sequential, is the shape
-  // without them. k_P below the PI count keeps the P phase from solving
-  // the POs outright, so the engine publishes every module section yet
-  // still hands a nonempty residue to the sharded sweep; the full-flow
-  // preset's L phases publish the cut section.
+  // Second flow: a residue sweep on a small multiplier pair. k_P below
+  // the PI count keeps the P phase from solving the POs outright, so the
+  // engine publishes every module section yet still hands a nonempty
+  // residue to the SAT sweep; the full-flow preset's L phases publish the
+  // cut section. The report must validate as v3 and carry the
+  // refute-early counters (PO probes, in-round CEX resimulation,
+  // counterexample replay) that every sweep that ran publishes.
   const aig::Aig small_a = gen::array_multiplier(4);
   const aig::Aig small_b = gen::wallace_multiplier(4);
-  portfolio::CombinedParams shard_params;
-  shard_params.engine.enable_po_phase = false;
-  shard_params.engine.k_P = 6;
-  shard_params.engine.k_p = 4;
-  shard_params.engine.k_g = 4;
-  shard_params.engine.k_l = 4;
-  shard_params.engine.memory_words = 1 << 16;
-  shard_params.engine = engine::full_flow(shard_params.engine);
-  shard_params.sweeper.num_threads = 2;
-  shard_params.sweeper.pairs_per_chunk = 4;
+  portfolio::CombinedParams sweep_params;
+  sweep_params.engine.enable_po_phase = false;
+  sweep_params.engine.k_P = 6;
+  sweep_params.engine.k_p = 4;
+  sweep_params.engine.k_g = 4;
+  sweep_params.engine.k_l = 4;
+  sweep_params.engine.memory_words = 1 << 16;
+  sweep_params.engine = engine::full_flow(sweep_params.engine);
   const portfolio::CombinedResult rs =
-      portfolio::combined_check(small_a, small_b, shard_params);
-  if (rs.verdict != Verdict::kEquivalent) {
-    std::fprintf(stderr, "check_report: sharded-sweep pair not proved\n");
+      portfolio::combined_check(small_a, small_b, sweep_params);
+  if (rs.verdict != Verdict::kEquivalent || !rs.used_sat) {
+    std::fprintf(stderr,
+                 "check_report: residue-sweep pair not proved by a sweep\n");
     return 1;
   }
-  std::string shard_json = obs::to_json(rs.report);
-  if (!obs::validate_report_json(shard_json, &error)) {
-    std::fprintf(stderr, "check_report: invalid sharded report: %s\n",
+  const std::string sweep_json = obs::to_json(rs.report);
+  if (!obs::validate_report_json(sweep_json, &error)) {
+    std::fprintf(stderr, "check_report: invalid residue-sweep report: %s\n",
                  error.c_str());
     return 1;
   }
-  if (!check_families(rs.report, "sharded")) return 1;
-  // The refute-early counters (PO probes, in-round CEX resimulation,
-  // counterexample replay) are published by every sweep that ran.
-  if (!require_leaves(
-          shard_json,
-          {obs::metric::kSweeperShards, obs::metric::kSweeperChunks,
-           obs::metric::kSweeperSteals,
-           obs::metric::kSweeperPairsSimResolved,
-           obs::metric::kSweeperParallelFallbacks,
-           std::string(obs::metric::kSweeperShardPrefix) + "0.chunks",
-           obs::metric::kSweeperProbeCalls,
-           obs::metric::kSweeperProbeConflicts,
-           obs::metric::kSweeperPairsCexResolved,
-           obs::metric::kSweeperCexReplayFailures},
-          "sharded"))
+  if (!check_families(rs.report, "sweep")) return 1;
+  if (!require_leaves(sweep_json,
+                      {obs::metric::kSweeperProbeCalls,
+                       obs::metric::kSweeperProbeConflicts,
+                       obs::metric::kSweeperPairsCexResolved,
+                       obs::metric::kSweeperCexReplayFailures},
+                      "sweep"))
     return 1;
-  std::printf("check_report: sharded-sweep report carries the "
-              "sat_sweeper shard and refute-early gauges\n");
+  std::printf("check_report: residue-sweep report carries the "
+              "sat_sweeper refute-early gauges\n");
 
   // Third flow: the batch job service (DESIGN.md §2.9). Three jobs — the
   // multiplier pair, the same pair again, and an adder pair — through
@@ -248,13 +238,13 @@ int main(int argc, char** argv) {
     jobs[0].id = "mult";
     jobs[0].a = small_a;
     jobs[0].b = small_b;
-    jobs[0].params = shard_params;
+    jobs[0].params = sweep_params;
     jobs[1] = jobs[0];
     jobs[1].id = "mult-again";
     jobs[2].id = "adder";
     jobs[2].a = gen::ripple_adder(8);
     jobs[2].b = gen::kogge_stone_adder(8);
-    jobs[2].params = shard_params;
+    jobs[2].params = sweep_params;
     const std::vector<service::JobResult> results =
         svc.run_batch(std::move(jobs));
     for (const service::JobResult& r : results) {
