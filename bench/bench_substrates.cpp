@@ -1,14 +1,14 @@
 /// \file bench_substrates.cpp
 /// \brief Microbenchmarks of the supporting substrates: partial
-/// simulation, EC building, SAT solving, BDD construction, cut
-/// enumeration, miter rebuild. Useful for spotting regressions in the
-/// pieces the engine's wall-clock is made of.
+/// simulation, EC building, SAT solving, cut enumeration, miter rebuild.
+/// Useful for spotting regressions in the pieces the engine's wall-clock
+/// is made of.
 
 #include <benchmark/benchmark.h>
 
 #include "aig/aig_analysis.hpp"
+#include "aig/miter.hpp"
 #include "aig/rebuild.hpp"
-#include "bdd/bdd_cec.hpp"
 #include "cnf/tseitin.hpp"
 #include "cut/cut_enum.hpp"
 #include "gen/arith.hpp"
@@ -84,15 +84,6 @@ void BM_SatSolveMiterPo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SatSolveMiterPo);
-
-void BM_BddBuildAdder(benchmark::State& state) {
-  const aig::Aig a = gen::ripple_adder(static_cast<unsigned>(state.range(0)));
-  for (auto _ : state) {
-    const auto r = bdd::bdd_check(a, a);
-    benchmark::DoNotOptimize(r.peak_nodes);
-  }
-}
-BENCHMARK(BM_BddBuildAdder)->DenseRange(4, 12, 4);
 
 void BM_QualityPatterns(benchmark::State& state) {
   const aig::Aig m = bench_miter(1);

@@ -24,9 +24,12 @@
 /// so the mapping back to CUDA kernels is mechanical.
 ///
 /// Concurrency contract: jobs are serialized — launches may come from
-/// multiple client threads (e.g. the portfolio checker racing several
-/// engines) and whole jobs execute one at a time. Nested submission from
-/// inside a worker body is not supported.
+/// multiple client threads (e.g. concurrent checks in one process) and
+/// whole jobs execute one at a time, so a long job (a sweep round's pair
+/// decisions under run_beside) delays every other client's launch. A
+/// client that must not wait on another gets its own pool, as the
+/// portfolio race's SAT arm and the batch service's sweeps do. Nested
+/// submission from inside a worker body is not supported.
 ///
 /// Checked build (`-DSIMSWEEP_CHECKED=ON`): the executor shadow-tracks its
 /// own job protocol — a per-item claim bitmap (no index claimed twice),

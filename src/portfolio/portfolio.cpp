@@ -13,6 +13,7 @@
 #include "fault/fault.hpp"
 #include "obs/metric_names.hpp"
 #include "opt/resyn.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sweep/sat_sweeper.hpp"
 
 namespace simsweep::portfolio {
@@ -202,39 +203,33 @@ CombinedResult combined_check_miter(const aig::Aig& miter,
 }
 
 PortfolioResult portfolio_check_miter(const aig::Aig& miter,
-                                      const PortfolioParams& params) {
+                                      const CombinedParams& params) {
   Timer total;
   VerdictBox box;
   const std::atomic<bool>* cancel = box.cancel_flag();
+  // The pool serializes whole jobs, and a sweep holds its pool for each
+  // round's pair decisions. On a shared pool the combined arm's engine
+  // launches would wait behind whole SAT rounds, so the SAT arm sweeps on
+  // a pool of its own (as CecService's sweep pool does for its jobs).
+  parallel::ThreadPool sat_pool;
 
   // audit:exempt(portfolio engine race: each engine owns a dedicated
   // thread for its whole run; pool chunking cannot express that)
   std::vector<std::thread> threads;
-  if (params.run_combined) {
-    threads.emplace_back([&] {
-      CombinedParams cp = params.combined;
-      cp.engine.cancel = cancel;
-      cp.sweeper.cancel = cancel;
-      CombinedResult r = combined_check_miter(miter, cp);
-      box.deliver(r.verdict, std::move(r.cex), "sim+sat", total.seconds());
-    });
-  }
-  if (params.run_sat) {
-    threads.emplace_back([&] {
-      sweep::SweeperParams sp = params.sweeper;
-      sp.cancel = cancel;
-      sweep::SweepResult r = sweep::SatSweeper(sp).check_miter(miter);
-      box.deliver(r.verdict, std::move(r.cex), "sat", total.seconds());
-    });
-  }
-  if (params.run_bdd) {
-    threads.emplace_back([&] {
-      bdd::BddCecParams bp = params.bdd;
-      bp.cancel = cancel;
-      bdd::BddCecResult r = bdd::bdd_check_miter(miter, bp);
-      box.deliver(r.verdict, std::move(r.cex), "bdd", total.seconds());
-    });
-  }
+  threads.emplace_back([&] {
+    CombinedParams cp = params;
+    cp.engine.cancel = cancel;
+    cp.sweeper.cancel = cancel;
+    CombinedResult r = combined_check_miter(miter, cp);
+    box.deliver(r.verdict, std::move(r.cex), "sim+sat", total.seconds());
+  });
+  threads.emplace_back([&] {
+    sweep::SweeperParams sp = params.sweeper;
+    sp.cancel = cancel;
+    sp.pool = &sat_pool;
+    sweep::SweepResult r = sweep::SatSweeper(sp).check_miter(miter);
+    box.deliver(r.verdict, std::move(r.cex), "sat", total.seconds());
+  });
   for (auto& t : threads) t.join();
   PortfolioResult result = box.take();
   if (result.verdict == Verdict::kUndecided) result.seconds = total.seconds();

@@ -11,11 +11,11 @@
 /// as the reproduction tables use. Every kNotEquivalent it returns
 /// carries a counterexample that replays on the input miter.
 ///
-/// PortfolioChecker is the stand-in for the commercial multi-engine tool
-/// (Conformal LEC): it races the combined checker, a standalone SAT
-/// sweeper and a BDD checker on separate threads and returns the first
-/// decisive verdict, cancelling the losers — exactly the multithreading
-/// conjecture the paper makes about commercial checkers (§IV-A).
+/// portfolio_check is the stand-in for the commercial multi-engine tool
+/// (Conformal LEC): it races the combined checker against a standalone
+/// SAT sweeper on separate threads and returns the first decisive
+/// verdict, cancelling the loser — the multithreading conjecture the
+/// paper makes about commercial checkers (§IV-A).
 
 #include <optional>
 #include <string>
@@ -23,7 +23,6 @@
 
 #include "aig/aig.hpp"
 #include "aig/miter.hpp"
-#include "bdd/bdd_cec.hpp"
 #include "common/verdict.hpp"
 #include "engine/engine.hpp"
 #include "sweep/sat_sweeper.hpp"
@@ -95,28 +94,25 @@ inline CombinedResult combined_check(const aig::Aig& a, const aig::Aig& b,
 // Portfolio checker (commercial multi-engine stand-in).
 // ---------------------------------------------------------------------------
 
-struct PortfolioParams {
-  CombinedParams combined;
-  sweep::SweeperParams sweeper;
-  bdd::BddCecParams bdd;
-  bool run_combined = true;
-  bool run_sat = true;
-  bool run_bdd = true;
-};
-
 struct PortfolioResult {
   Verdict verdict = Verdict::kUndecided;
   std::optional<std::vector<bool>> cex;
-  std::string winner;  ///< "sim+sat", "sat", "bdd", or "" if every
-                       ///< engine came back undecided
+  std::string winner;  ///< "sim+sat", "sat", or "" if both arms came
+                       ///< back undecided
   double seconds = 0;
 };
 
+/// Races two arms on the same `params`: the combined flow, and
+/// `params.sweeper` alone on the whole miter. The SAT arm sweeps on a
+/// pool of its own, so the combined arm's engine launches on the
+/// caller's pool never queue behind the SAT arm's sweep rounds. The
+/// first decisive verdict cancels the other arm (the race's own flag
+/// replaces any cancel flag set in `params`).
 PortfolioResult portfolio_check_miter(const aig::Aig& miter,
-                                      const PortfolioParams& params = {});
+                                      const CombinedParams& params = {});
 
 inline PortfolioResult portfolio_check(const aig::Aig& a, const aig::Aig& b,
-                                       const PortfolioParams& params = {}) {
+                                       const CombinedParams& params = {}) {
   return portfolio_check_miter(aig::make_miter(a, b), params);
 }
 

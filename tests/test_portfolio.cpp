@@ -11,6 +11,7 @@
 #include <fstream>
 
 #include "aig/aig_analysis.hpp"
+#include "aig/cex.hpp"
 #include "aig/miter.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/resume.hpp"
@@ -305,37 +306,55 @@ TEST(Combined, ResumedRunChargesElapsedAgainstDeadline) {
 TEST(Portfolio, FirstDecisiveEngineWins) {
   const Aig a = gen::array_multiplier(4);
   const Aig b = gen::wallace_multiplier(4);
-  PortfolioParams p;
-  p.combined = small_combined();
-  const PortfolioResult r = portfolio_check(a, b, p);
+  const PortfolioResult r = portfolio_check(a, b, small_combined());
   EXPECT_EQ(r.verdict, Verdict::kEquivalent);
-  EXPECT_FALSE(r.winner.empty());
+  EXPECT_TRUE(r.winner == "sim+sat" || r.winner == "sat") << r.winner;
   EXPECT_GT(r.seconds, 0.0);
 }
 
 TEST(Portfolio, DisproofWithCex) {
-  const Aig a = testutil::random_aig(8, 100, 4, 330);
-  const Aig b = testutil::mutate(a, 331);
-  if (aig::brute_force_equivalent(a, b)) GTEST_SKIP() << "mutation no-op";
-  PortfolioParams p;
-  p.combined = small_combined();
-  const PortfolioResult r = portfolio_check(a, b, p);
-  ASSERT_EQ(r.verdict, Verdict::kNotEquivalent);
-  if (r.cex) {
-    EXPECT_NE(a.evaluate(*r.cex), b.evaluate(*r.cex));
+  // Whichever arm wins, a disproof leaves the race with a counterexample
+  // that replays on the miter.
+  unsigned refuted = 0;
+  for (std::uint64_t seed = 330; refuted < 4 && seed < 370; seed += 2) {
+    SCOPED_TRACE(seed);
+    const Aig a = testutil::random_aig(8, 100, 4, seed);
+    const Aig b = testutil::mutate(a, seed + 1);
+    if (aig::brute_force_equivalent(a, b)) continue;  // mutation no-op
+    const Aig miter = aig::make_miter(a, b);
+    const PortfolioResult r = portfolio_check_miter(miter, small_combined());
+    ASSERT_EQ(r.verdict, Verdict::kNotEquivalent);
+    ASSERT_TRUE(r.cex.has_value()) << "winner " << r.winner;
+    EXPECT_GE(aig::find_failing_po(miter, *r.cex), 0) << "winner " << r.winner;
+    ++refuted;
   }
+  EXPECT_EQ(refuted, 4u);
 }
 
-TEST(Portfolio, SubsetOfEnginesStillWorks) {
-  const Aig a = gen::ripple_adder(4);
-  const Aig b = gen::kogge_stone_adder(4);
-  PortfolioParams p;
-  p.combined = small_combined();
-  p.run_combined = false;
-  p.run_sat = false;  // only the BDD engine
-  const PortfolioResult r = portfolio_check(a, b, p);
+TEST(Portfolio, SatArmDoesNotStallCombinedArm) {
+  // The engine decides sin in a fraction of a second; SAT sweeping alone
+  // needs many seconds. The race must return about when the combined arm
+  // alone would. When the SAT arm's sweep rounds held the pool the
+  // combined arm launches on, the race took 7-10 s here against 0.1 s for
+  // the combined flow alone. The bound is relative to the combined flow's
+  // own time, so a slow (sanitizer) build scales it too.
+  gen::SuiteParams sp;
+  sp.doublings = 0;
+  const gen::BenchCase c = gen::make_case("sin", sp);
+  const Aig miter = aig::make_miter(c.original, c.optimized);
+  CombinedParams p;
+  p.engine.k_P = 24;
+  p.engine.k_p = 14;
+  p.engine.k_g = 14;
+  p.sweeper.time_limit = 60;
+  Timer alone;
+  ASSERT_EQ(combined_check_miter(miter, p).verdict, Verdict::kEquivalent);
+  const double alone_seconds = alone.seconds();
+  const PortfolioResult r = portfolio_check_miter(miter, p);
   EXPECT_EQ(r.verdict, Verdict::kEquivalent);
-  EXPECT_EQ(r.winner, "bdd");
+  EXPECT_EQ(r.winner, "sim+sat");
+  EXPECT_LT(r.seconds, 5 * alone_seconds + 1.0)
+      << "combined flow alone took " << alone_seconds << " s";
 }
 
 TEST(Portfolio, AllUndecidedReportsUndecided) {
@@ -343,12 +362,10 @@ TEST(Portfolio, AllUndecidedReportsUndecided) {
   const Aig b = opt::resyn_light(a);
   if (aig::miter_proved(aig::make_miter(a, b)))
     GTEST_SKIP() << "strash solved it";
-  PortfolioParams p;
-  p.run_combined = false;
-  p.run_sat = true;
-  p.run_bdd = true;
+  // Both arms run out of time before they decide anything.
+  CombinedParams p = small_combined();
+  p.engine.time_limit = 1e-9;
   p.sweeper.time_limit = 1e-9;
-  p.bdd.node_limit = 8;
   const PortfolioResult r = portfolio_check(a, b, p);
   EXPECT_EQ(r.verdict, Verdict::kUndecided);
   EXPECT_TRUE(r.winner.empty());

@@ -161,7 +161,7 @@ build_and_test() {
 run_full_matrix() {
   # Checked build: executor protocol invariants + the deliberate-violation
   # death tests live in test_parallel.
-  build_and_test checked -R 'ThreadPool|Lanes|Checked|SatSweeper|SweepProbe|CecService' \
+  build_and_test checked -R 'ThreadPool|Lanes|Checked|SatSweeper|SweepProbe|CecService|Portfolio' \
     -- -DSIMSWEEP_CHECKED=ON
   # TSan over the concurrency-labelled suites.
   build_and_test tsan -L tsan -LE static_analysis \
